@@ -77,8 +77,8 @@ class CapacitorConfig:
             raise GeometryError(f"plate span must satisfy 0 <= a < b <= 1, got a={self.a}, b={self.b}")
         if not (0.0 <= self.d <= 1.0):
             raise GeometryError(f"plate separation must lie in [0, 1], got d={self.d}")
-        if self.v0 <= 0.0:
-            raise GeometryError(f"plate potential must be positive, got v0={self.v0}")
+        if not (math.isfinite(self.v0) and self.v0 > 0.0):
+            raise GeometryError(f"plate potential must be finite and positive, got v0={self.v0}")
         if self.fine_n < 3:
             raise GeometryError(f"fine_n must be at least 3, got {self.fine_n}")
         if self.coarse_n < 2:
@@ -119,6 +119,8 @@ class BoundaryMask:
             raise ValueError(f"fixed mask must be square, got shape {self.fixed.shape}")
         if self.value.shape != self.fixed.shape:
             raise ValueError(f"value shape {self.value.shape} does not match mask shape {self.fixed.shape}")
+        if not np.isfinite(self.value).all():
+            raise ValueError("value must be finite at every node")
         if np.any(self.value[~self.fixed] != 0.0):
             raise ValueError("value must be zero at non-fixed nodes")
 
@@ -217,21 +219,51 @@ def solve_sor(
     if tol is None:
         scale = float(np.max(np.abs(mask.value))) if mask.fixed.any() else 0.0
         tol = 1e-6 * (scale if scale > 0.0 else 1.0)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
 
-    v = np.where(mask.fixed, mask.value, 0.0)
-    free = ~mask.fixed
-    # The red ((i+j) even) and black nodes each decompose into two
-    # interleaved sub-lattices, so one sweep is four strided passes that
-    # touch only the nodes being updated. Red offsets come first.
-    subsets = []
+    # The grid is held as four parity lattices, part[a][b] = v[a::2, b::2],
+    # each a contiguous view into one n*n block. Red ((i+j) even) and black
+    # nodes are two lattices each. The pass at offset (i0, j0) updates the
+    # interior of part[i0%2][j0%2], and every neighbour lies in a lattice of
+    # the other colour: node (i, j) sits at part[a][b][i//2, j//2], its
+    # up/down neighbours at rows (i-1)//2 and (i-1)//2 + 1 of part[1-a][b],
+    # its left/right ones at columns (j-1)//2 and (j-1)//2 + 1 of
+    # part[a][1-b]. Each neighbour of a pass is thus one shifted slice with
+    # unit stride along rows, fixed before the loop, where a single grid
+    # would need stride-2 views that use half of every cache line. Red
+    # passes come first and the per-node arithmetic is that of a sweep over
+    # the n x n grid, so the result is bit-identical to it.
+    block = np.zeros(n * n)
+    part = [[None, None], [None, None]]
+    start = 0
+    for a in (0, 1):
+        for b in (0, 1):
+            shape = ((n - a + 1) // 2, (n - b + 1) // 2)
+            part[a][b] = block[start : start + shape[0] * shape[1]].reshape(shape)
+            np.copyto(part[a][b], mask.value[a::2, b::2], where=mask.fixed[a::2, b::2])
+            start += shape[0] * shape[1]
+    # One update buffer, sized to the largest pass (offset (1, 1)) and
+    # viewed by each pass at its own shape.
+    buffer = np.empty(((n - 1) // 2) ** 2)
+    passes = []
     for i0, j0 in ((1, 1), (2, 2), (1, 2), (2, 1)):
-        fsub = free[i0 : n - 1 : 2, j0 : n - 1 : 2]
+        fsub = (~mask.fixed[i0 : n - 1 : 2, j0 : n - 1 : 2]).astype(np.float64)
         if fsub.size:
-            subsets.append((i0, j0, fsub.astype(np.float64), np.empty_like(fsub, dtype=np.float64)))
+            (ni, nj), a, b = fsub.shape, i0 % 2, j0 % 2
+            rows, cols = slice(i0 // 2, i0 // 2 + ni), slice(j0 // 2, j0 // 2 + nj)
+            r, c = (i0 - 1) // 2, (j0 - 1) // 2
+            passes.append((
+                part[a][b][rows, cols],
+                part[1 - a][b][r : r + ni, cols],
+                part[1 - a][b][r + 1 : r + 1 + ni, cols],
+                part[a][1 - b][rows, c : c + nj],
+                part[a][1 - b][rows, c + 1 : c + 1 + nj],
+                fsub,
+                buffer[: fsub.size].reshape(fsub.shape),
+            ))
 
     window = 20  # sweeps between the two update samples used for the rho estimate
     safety = 0.2
@@ -239,11 +271,10 @@ def solve_sor(
     dmax = math.inf
     for sweep in range(1, max_sweeps + 1):
         dmax = 0.0
-        for i0, j0, fsub, buf in subsets:
-            target = v[i0 : n - 1 : 2, j0 : n - 1 : 2]
-            np.add(v[i0 - 1 : n - 2 : 2, j0 : n - 1 : 2], v[i0 + 1 : n : 2, j0 : n - 1 : 2], out=buf)
-            buf += v[i0 : n - 1 : 2, j0 - 1 : n - 2 : 2]
-            buf += v[i0 : n - 1 : 2, j0 + 1 : n : 2]
+        for target, up, down, left, right, fsub, buf in passes:
+            np.add(up, down, out=buf)
+            buf += left
+            buf += right
             buf *= 0.25
             buf -= target
             buf *= omega
@@ -253,17 +284,24 @@ def solve_sor(
             dmax = max(dmax, float(buf.max()))
         updates.append(dmax)
         if dmax == 0.0 or dmax < 1e-3 * tol:
-            return FieldGrid(values=v)
+            break
         if sweep > window and updates[-1 - window] > 0.0:
             rho = (dmax / updates[-1 - window]) ** (1.0 / window)
             rho = min(max(rho, 1e-6), 0.999999)
             if dmax < safety * tol * min(1.0, (1.0 - rho) / max(rho, 0.5)):
-                return FieldGrid(values=v)
-    raise ConvergenceError(
-        f"SOR did not reach tol={tol:.3e} within {max_sweeps} sweeps (last update {dmax:.3e})",
-        residual=dmax,
-        sweeps=max_sweeps,
-    )
+                break
+    else:
+        raise ConvergenceError(
+            f"SOR did not reach tol={tol:.3e} within {max_sweeps} sweeps (last update {dmax:.3e})",
+            residual=dmax,
+            sweeps=max_sweeps,
+        )
+    del passes, buffer  # free the pass masks before the output grid is allocated
+    values = np.empty((n, n))
+    for a in (0, 1):
+        for b in (0, 1):
+            values[a::2, b::2] = part[a][b]
+    return FieldGrid(values=values)
 
 
 def downsample(grid: FieldGrid, coarse_n: int) -> FieldGrid:
@@ -295,8 +333,10 @@ class Dataset:
             raise ValueError(
                 f"fields shape {self.fields.shape} does not match {self.d.shape[0]} samples of width {width}"
             )
-        if self.v0 <= 0.0:
-            raise ValueError(f"v0 must be positive, got {self.v0}")
+        if not (math.isfinite(self.v0) and self.v0 > 0.0):
+            raise ValueError(f"v0 must be finite and positive, got {self.v0}")
+        if not (np.isfinite(self.d).all() and np.isfinite(self.fields).all()):
+            raise ValueError("d and fields must be finite")
 
     def __len__(self) -> int:
         return int(self.d.shape[0])
@@ -362,8 +402,8 @@ def load_dataset(path) -> Dataset:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    header = dict(item.split("=", 1) for item in lines[0].split(","))
     try:
+        header = dict(item.split("=", 1) for item in lines[0].split(","))
         grid_n = int(header["grid"])
         count = int(header["count"])
         v0 = float(header["v0"])
@@ -379,6 +419,12 @@ def load_dataset(path) -> Dataset:
         parts = line.split(",")
         if len(parts) != width + 1:
             raise ValueError(f"{path}: record {i} has {len(parts)} values, expected {width + 1}")
-        d[i] = float(parts[0])
-        fields[i] = [float(p) for p in parts[1:]]
-    return Dataset(grid_n=grid_n, v0=v0, d=d, fields=fields)
+        try:
+            d[i] = float(parts[0])
+            fields[i] = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: record {i}: {exc}") from exc
+    try:
+        return Dataset(grid_n=grid_n, v0=v0, d=d, fields=fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

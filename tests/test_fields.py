@@ -1,5 +1,8 @@
 """Solver and dataset tests, anchored on a dense direct-solve oracle."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -139,8 +142,37 @@ class TestSolveSor:
             solve_sor(mask, omega=0.5)
         with pytest.raises(ValueError):
             solve_sor(mask, tol=0.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                solve_sor(mask, tol=tol)
         with pytest.raises(ValueError):
             solve_sor(mask, max_sweeps=0)
+
+    # sha256 of solve_sor(...).values.tobytes(), recorded from the strided
+    # n x n sweep the lattice layout replaced. They pin the arithmetic, the
+    # pass order and the stopping rule bit for bit: odd and even n, omega=1,
+    # and n=3 and n=4, where some of the four passes are empty.
+    @pytest.mark.parametrize(
+        "make_mask,kwargs,digest",
+        [
+            (lambda: build_boundary_mask(CapacitorConfig(d=0.36, fine_n=41, coarse_n=21)), {},
+             "3661d443b9fd568d85281be24ea3ee075b4f7176ebabc8b42de984c99751ecc8"),
+            (lambda: build_boundary_mask(CapacitorConfig(d=0.36, fine_n=101, coarse_n=21)), {},
+             "fe4388f715dfcef9be744dd59f293749496aea366d87ffe6b7cd470bb81aaec7"),
+            (lambda: random_mask(22, 3), {},
+             "e22bbb41f37d8574bded3fce794a9421d35d303392aff09d7b17abbf746ebdd3"),
+            (lambda: random_mask(8, 0), {"omega": 1.0},
+             "9e15d2075a3d3d5753bc422ec1dbbff8f95b4ddeb62e1c6d031c67270c0a2287"),
+            (lambda: random_mask(3, 0, n_interior=0), {},
+             "1229ed220707d79d136c955a4a903834998990ebc389823886e451e30f4d0dd0"),
+            (lambda: random_mask(4, 1, n_interior=0), {},
+             "380a5e4bb5bc255a07da57f2910a12c2508434c39a50702a5f83e8428ffdc745"),
+        ],
+        ids=["capacitor-41", "capacitor-101", "random-22", "random-8-omega1", "random-3", "random-4"],
+    )
+    def test_bits_pinned(self, make_mask, kwargs, digest):
+        got = solve_sor(make_mask(), **kwargs).values
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
     def test_optimal_omega_value(self):
         assert optimal_omega(401) == pytest.approx(2.0 / (1.0 + np.sin(np.pi / 401)), rel=1e-15)
@@ -190,6 +222,8 @@ class TestGeometry:
             dict(d=0.5, a=0.75, b=0.25),
             dict(d=0.5, a=0.5, b=0.5),
             dict(d=0.5, v0=0.0),
+            dict(d=0.5, v0=math.inf),
+            dict(d=0.5, v0=math.nan),
             dict(d=0.5, fine_n=2),
             dict(d=0.5, fine_n=400),  # 399 steps, not a multiple of 20
         ],
@@ -206,6 +240,11 @@ class TestGeometry:
             BoundaryMask(fixed=fixed, value=value)
         with pytest.raises(ValueError):
             BoundaryMask(fixed=np.zeros((4, 5), dtype=bool), value=np.zeros((4, 5)))
+        fixed[2, 2] = True
+        for bad in (math.nan, math.inf):
+            value[2, 2] = bad  # a fixed node with non-finite data
+            with pytest.raises(ValueError, match="finite"):
+                BoundaryMask(fixed=fixed, value=value)
 
 
 class TestDownsample:
@@ -255,6 +294,17 @@ class TestDataset:
         with pytest.raises(ConvergenceError, match=r"sample d=0\.5"):
             generate_dataset([0.5], fine_n=41, coarse_n=21, max_sweeps=1)
 
+    def test_non_finite_data_rejected(self):
+        with pytest.raises(GeometryError, match=r"sample d=0\.5: plate potential"):
+            generate_dataset([0.5], v0=math.inf, fine_n=21, coarse_n=21)
+        for v0 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="v0 must be finite"):
+                fields.Dataset(grid_n=2, v0=v0, d=[0.5], fields=np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="must be finite"):
+            fields.Dataset(grid_n=2, v0=1.0, d=[0.5], fields=[[0.0, math.nan, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            fields.Dataset(grid_n=2, v0=1.0, d=[math.inf], fields=np.zeros((1, 4)))
+
     def test_save_load_round_trip_is_bit_exact(self, tmp_path):
         ds = generate_dataset([0.3, 0.5], fine_n=41, coarse_n=21, v0=2.5)
         path = tmp_path / "ds.csv"
@@ -272,6 +322,15 @@ class TestDataset:
             load_dataset(path)
         path.write_text("")
         with pytest.raises(ValueError):
+            load_dataset(path)
+        path.write_text("grid=2;count=1;v0=1.0\n0.5,0,0,0,0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: malformed dataset header"):
+            load_dataset(path)
+        path.write_text("grid=2,count=2,v0=1.0\n0.5,0,0,0,0\n0.6,0,abc,0,0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: record 1: .*'abc'"):
+            load_dataset(path)
+        path.write_text("grid=2,count=1,v0=1.0\n0.5,0,nan,0,0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: d and fields must be finite"):
             load_dataset(path)
 
     def test_default_parameter_grids(self):
