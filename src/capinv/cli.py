@@ -10,6 +10,7 @@ import numpy as np
 
 from . import experiments, fields, generative, inverse
 from .network import DEFAULT_LEARNING_RATES, TrainingError
+from .textio import _row
 
 _USAGE_ERRORS = (
     fields.GeometryError,
@@ -148,10 +149,7 @@ def _cmd_train(args) -> int:
     history_path = args.history if args.history is not None else f"{args.out}.history.csv"
     with open(history_path, "w", encoding="ascii") as fh:
         fh.write("iteration,total,rec,kld\n")
-        for i in range(len(history.total)):
-            fh.write(
-                f"{i},{float(history.total[i])!r},{float(history.rec[i])!r},{float(history.kld[i])!r}\n"
-            )
+        fh.writelines(f"{i},{_row(row)}\n" for i, row in enumerate(zip(history.total, history.rec, history.kld)))
     final = history.total[-1] if len(history.total) else float("nan")
     print(f"trained {args.kind} for {args.iters} iterations (final loss {final:.6g})")
     print(f"wrote model to {args.out} and loss history to {history_path}")
@@ -189,7 +187,6 @@ def _cmd_invert(args) -> int:
             "d": repr(args.d),
             "e": repr(args.noise),
             "seed": args.seed,
-            "grid": grid.n,
         }
         experiments.write_field_block(fh, meta, grid.values)
     print(f"wrote recovered {grid.n}x{grid.n} field to {args.out}")

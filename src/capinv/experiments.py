@@ -27,6 +27,7 @@ from .inverse import (
     inverse_predict,
     recover_field,
 )
+from .textio import _header, _reading, _row
 
 __all__ = [
     "ssd",
@@ -314,9 +315,9 @@ def _fmt(value) -> str:
 
 
 def write_field_block(fh, meta: dict, values: np.ndarray) -> None:
-    fh.write(",".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-    for row in values:
-        fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    """A meta line of meta's items and grid=<rows>, then the grid rows."""
+    fh.write(_header("", {**meta, "grid": values.shape[0]}, ",") + "\n")
+    fh.writelines(_row(row) + "\n" for row in values)
 
 
 def write_timing_table(timing: TimingTable, path) -> None:
@@ -352,27 +353,13 @@ def export_results(result: SweepResult, out_dir, timing: TimingTable | None = No
 
     with open(paths[0], "w", encoding="ascii", newline="") as fh:
         for d, values in result.groundtruth:
-            meta = {
-                "approach": "groundtruth",
-                "optimizer": "-",
-                "d": repr(float(d)),
-                "e": "-",
-                "seed": "-",
-                "grid": values.shape[0],
-            }
+            meta = {"approach": "groundtruth", "optimizer": "-", "d": repr(float(d)), "e": "-", "seed": "-"}
             write_field_block(fh, meta, values)
         for cell in result.cells:
-            if cell.field_values is None:
-                continue
-            meta = {
-                "approach": cell.approach,
-                "optimizer": cell.optimizer,
-                "d": repr(cell.d),
-                "e": repr(cell.e),
-                "seed": cell.seed,
-                "grid": cell.field_values.shape[0],
-            }
-            write_field_block(fh, meta, cell.field_values)
+            if cell.field_values is not None:
+                meta = {"approach": cell.approach, "optimizer": cell.optimizer,
+                        "d": repr(cell.d), "e": repr(cell.e), "seed": cell.seed}
+                write_field_block(fh, meta, cell.field_values)
 
     aggregates = aggregate_cells(result.cells)
     header = ["approach", "optimizer", "d", "e", "n_seeds", "ssd_median", "ssd_iqr"]
@@ -456,15 +443,13 @@ def read_timing_table(path):
 
 
 def read_field_blocks(path):
-    """List of (meta dict, values array) blocks from a field-block file."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    """List of (meta dict, values array) blocks from a field-block file.
+
+    Meta values are the strings written, except grid, which is an int.
+    """
     blocks = []
-    i = 0
-    while i < len(lines):
-        meta = dict(item.split("=", 1) for item in lines[i].split(","))
-        n = int(meta["grid"])
-        values = np.asarray([[float(x) for x in lines[i + 1 + r].split(",")] for r in range(n)])
-        blocks.append((meta, values))
-        i += 1 + n
+    with _reading(path, "field block file") as lines:
+        while not lines.at_end():
+            meta = lines.header("", {"grid": int}, ",")
+            blocks.append((meta, lines.rows(meta["grid"], meta["grid"], "grid row")))
     return blocks

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .textio import _header, _reading, _row
+
 __all__ = [
     "GeometryError",
     "ConvergenceError",
@@ -389,42 +391,15 @@ def save_dataset(dataset: Dataset, path) -> None:
     the grid_n^2 normalized potentials. Floats are written with repr so a
     save/load round trip is bit-exact.
     """
-    lines = [f"grid={dataset.grid_n},count={len(dataset)},v0={repr(float(dataset.v0))}"]
-    for dv, row in zip(dataset.d, dataset.fields):
-        lines.append(",".join([repr(float(dv))] + [repr(float(x)) for x in row]))
+    head = {"grid": dataset.grid_n, "count": len(dataset), "v0": repr(float(dataset.v0))}
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_header("", head, ",") + "\n")
+        fh.writelines(f"{float(dv)!r},{_row(row)}\n" for dv, row in zip(dataset.d, dataset.fields))
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset written by save_dataset."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty dataset file")
-    try:
-        header = dict(item.split("=", 1) for item in lines[0].split(","))
-        grid_n = int(header["grid"])
-        count = int(header["count"])
-        v0 = float(header["v0"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed dataset header {lines[0]!r}") from exc
-    records = lines[1:]
-    if len(records) != count:
-        raise ValueError(f"{path}: header promises {count} records, found {len(records)}")
-    width = grid_n * grid_n
-    d = np.empty(count, dtype=np.float64)
-    fields = np.empty((count, width), dtype=np.float64)
-    for i, line in enumerate(records):
-        parts = line.split(",")
-        if len(parts) != width + 1:
-            raise ValueError(f"{path}: record {i} has {len(parts)} values, expected {width + 1}")
-        try:
-            d[i] = float(parts[0])
-            fields[i] = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}: record {i}: {exc}") from exc
-    try:
-        return Dataset(grid_n=grid_n, v0=v0, d=d, fields=fields)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with _reading(path, "dataset") as lines:
+        head = lines.header("", {"grid": int, "count": int, "v0": float}, ",")
+        table = lines.rows(head["count"], head["grid"] ** 2 + 1, "record")
+        return Dataset(grid_n=head["grid"], v0=head["v0"], d=table[:, 0].copy(), fields=table[:, 1:].copy())

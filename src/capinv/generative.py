@@ -21,10 +21,9 @@ from .network import (
     forward,
     make_optimizer,
     minibatch_stream,
-    read_mlp_block,
     single_blas_thread,
-    write_mlp_block,
 )
+from .textio import _header, _reading, _row, _vector
 
 __all__ = [
     "KINDS",
@@ -34,7 +33,6 @@ __all__ = [
     "build_model",
     "encode",
     "decode",
-    "sample_latent",
     "rec_loss",
     "kld_loss",
     "train_model",
@@ -96,8 +94,8 @@ def _as_batch(arr, width: int, what: str):
 def encode(model: GenerativeModel, v):
     """Deterministic encoding: the code for "ae", (mu, sigma) for "vae".
 
-    No sampling happens here; drawing a stochastic code is sample_latent's
-    job. Accepts a single vector or a batch and mirrors the input's rank.
+    No sampling happens here; training draws its stochastic codes itself.
+    Accepts a single vector or a batch and mirrors the input's rank.
     """
     batch, single = _as_batch(v, model.input_dim, "field vector")
     out = forward(model.encoder, batch)[-1]
@@ -118,16 +116,6 @@ def decode(model: GenerativeModel, z, v0: float | None = None):
             raise ValueError(f"v0 must be positive, got {v0}")
         out = out * v0
     return out[0] if single else out
-
-
-def sample_latent(mu, sigma, noise_draw):
-    """Reparameterized draw z = mu + sigma * noise."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    noise_draw = np.asarray(noise_draw, dtype=np.float64)
-    if mu.shape != sigma.shape or mu.shape != noise_draw.shape:
-        raise ValueError(f"shape mismatch: mu {mu.shape}, sigma {sigma.shape}, noise {noise_draw.shape}")
-    return mu + sigma * noise_draw
 
 
 def rec_loss(v, v_rec) -> float:
@@ -195,9 +183,7 @@ class GenerativeTrainConfig:
     """Knobs for train_model / train_generative.
 
     learning_rate None picks the optimizer's paired default (1e-3 for
-    adam, 1e-5 for momentum). draw_noise=False makes the vae latent
-    deterministic (no generator draw at all), which only testing should
-    want.
+    adam, 1e-5 for momentum).
     """
 
     optimizer: str = "momentum"
@@ -207,7 +193,6 @@ class GenerativeTrainConfig:
     beta: float = 1.0
     latent_dim: int = 20
     hidden_dim: int = 200
-    draw_noise: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations < 0:
@@ -249,14 +234,13 @@ def train_model(model: GenerativeModel, fields, config: GenerativeTrainConfig, r
     total = np.empty(iters)
     rec_hist = np.empty(iters)
     kld_hist = np.empty(iters)
-    zero_eps = np.zeros((config.minibatch_size, model.latent_dim))
     with single_blas_thread():
         for it in range(iters):
             batch = data[next(stream)]
             if model.kind == "ae":
                 rec, kld, grads = _ae_step(model, batch)
             else:
-                eps = rng.standard_normal((batch.shape[0], model.latent_dim)) if config.draw_noise else zero_eps
+                eps = rng.standard_normal((batch.shape[0], model.latent_dim))
                 rec, kld, grads = _vae_step(model, batch, eps, config.beta)
             loss = rec + config.beta * kld
             if not np.isfinite(loss):
@@ -286,29 +270,38 @@ def train_generative(kind: str, fields, config: GenerativeTrainConfig | None = N
     return model, history
 
 
+def _read_mlp(lines) -> Mlp:
+    """One network block of a model file, as save_model writes it."""
+    head = lines.header("mlp", {"layers": lambda v: [int(s) for s in v.split(":")],
+                                "activations": lambda v: tuple(v.split(":"))})
+    weights = []
+    biases = []
+    for fan_in, fan_out in zip(head["layers"][:-1], head["layers"][1:]):
+        tag = lines.take("weights line")
+        if tag != f"weights {fan_in} {fan_out}":
+            raise ValueError(f"expected 'weights {fan_in} {fan_out}', got {tag[:80]!r}")
+        weights.append(lines.rows(fan_in, fan_out, "weight row"))
+        biases.append(lines.vector("biases"))
+    return Mlp(weights=weights, biases=biases, activations=head["activations"])
+
+
 def save_model(model: GenerativeModel, path) -> None:
-    """Self-describing text dump: kind header, then encoder and decoder blocks."""
+    """Self-describing text dump: kind header, then per network a header
+    and per layer the weight rows and the bias row."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"generative kind={model.kind} latent={model.latent_dim}\n")
-        write_mlp_block(fh, model.encoder)
-        write_mlp_block(fh, model.decoder)
+        fh.write(_header("generative", {"kind": model.kind, "latent": model.latent_dim}) + "\n")
+        for net in (model.encoder, model.decoder):
+            sizes = ":".join(str(s) for s in net.layer_sizes)
+            fh.write(_header("mlp", {"layers": sizes, "activations": ":".join(net.activations)}) + "\n")
+            for w, b in zip(net.weights, net.biases):
+                fh.write(f"weights {w.shape[0]} {w.shape[1]}\n")
+                fh.writelines(_row(row) + "\n" for row in w)
+                fh.write(_vector("biases", b))
 
 
 def load_model(path) -> GenerativeModel:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = iter(fh)
-        try:
-            head = next(lines).rstrip("\n")
-        except StopIteration:
-            raise ValueError(f"{path}: empty model file") from None
-        if not head.startswith("generative "):
-            raise ValueError(f"{path}: expected model header, got {head!r}")
-        fields = dict(tok.split("=", 1) for tok in head.split()[1:])
-        try:
-            kind = fields["kind"]
-            latent = int(fields["latent"])
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed model header {head!r}") from exc
-        encoder = read_mlp_block(lines)
-        decoder = read_mlp_block(lines)
-    return GenerativeModel(kind=kind, encoder=encoder, decoder=decoder, latent_dim=latent)
+    with _reading(path, "model file") as lines:
+        head = lines.header("generative", {"kind": str, "latent": int})
+        encoder = _read_mlp(lines)
+        decoder = _read_mlp(lines)
+        return GenerativeModel(kind=head["kind"], encoder=encoder, decoder=decoder, latent_dim=head["latent"])

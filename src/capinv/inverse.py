@@ -22,6 +22,7 @@ import numpy as np
 
 from .fields import Dataset, FieldGrid
 from .generative import GenerativeModel, encode, decode
+from .textio import _header, _reading, _vector
 
 __all__ = [
     "RegressionError",
@@ -74,6 +75,8 @@ class RegressionModel:
             raise ValueError("phi must be a 1-D vector")
         if not np.all(np.isfinite(self.phi)):
             raise ValueError("phi has non-finite entries")
+        if not (math.isfinite(self.intercept) and math.isfinite(self.fit_residual)):
+            raise ValueError(f"intercept {self.intercept!r} and fit residual {self.fit_residual!r} must be finite")
 
 
 def fit_regression(samples, targets, space: str) -> RegressionModel:
@@ -328,74 +331,33 @@ def recover_field(
     return FieldGrid(values=values.reshape(side, side), units="normalized")
 
 
-def _write_vector(fh, tag: str, vec: np.ndarray) -> None:
-    fh.write(f"{tag} {vec.shape[0]}\n")
-    fh.write(",".join(repr(float(v)) for v in vec) + "\n")
-
-
 def save_pipeline(pipeline: InversePipeline, path) -> None:
     """Text dump of the regression artifact: space tag, coefficients,
     intercept, fit residual, plus the anchor records that make `invert`
     self-contained. The generative model is stored separately."""
     reg = pipeline.regression
+    head = {"space": pipeline.approach, "grid": pipeline.grid_n, "optimizer": pipeline.optimizer_tag}
+    scalars = {"intercept": reg.intercept, "fit_residual": reg.fit_residual, "anchor_d": pipeline.anchor_d}
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(
-            f"regression space={pipeline.approach} grid={pipeline.grid_n} "
-            f"optimizer={pipeline.optimizer_tag}\n"
-        )
-        fh.write(f"intercept={repr(float(reg.intercept))}\n")
-        fh.write(f"fit_residual={repr(float(reg.fit_residual))}\n")
-        fh.write(f"anchor_d={repr(float(pipeline.anchor_d))}\n")
-        _write_vector(fh, "phi", reg.phi)
-        _write_vector(fh, "anchor", pipeline.anchor)
-        _write_vector(fh, "anchor_field", pipeline.anchor_field)
+        fh.write(_header("regression", head) + "\n")
+        fh.writelines(f"{key}={float(value)!r}\n" for key, value in scalars.items())
+        for tag, vec in (("phi", reg.phi), ("anchor", pipeline.anchor), ("anchor_field", pipeline.anchor_field)):
+            fh.write(_vector(tag, vec))
 
 
 def load_pipeline(path, model: GenerativeModel | None = None) -> InversePipeline:
     """Read a save_pipeline artifact; attach the generative model if given."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("regression "):
-        raise ValueError(f"{path}: not a regression artifact")
-    head = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
-    scalars: dict[str, float] = {}
-    vectors: dict[str, np.ndarray] = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        if not line:
-            i += 1
-            continue
-        if "=" in line and " " not in line.split("=", 1)[0]:
-            key, val = line.split("=", 1)
-            scalars[key] = float(val)
-            i += 1
-        else:
-            tag, count = line.split()
-            vec = [float(v) for v in lines[i + 1].split(",")]
-            if len(vec) != int(count):
-                raise ValueError(f"{path}: vector {tag} has {len(vec)} entries, header says {count}")
-            vectors[tag] = np.asarray(vec)
-            i += 2
-    try:
-        space = head["space"]
-        grid_n = int(head["grid"])
-        optimizer_tag = head.get("optimizer", "-")
-        regression = RegressionModel(
-            space=space,
-            phi=vectors["phi"],
-            intercept=scalars["intercept"],
-            fit_residual=scalars["fit_residual"],
-        )
+    with _reading(path, "regression artifact") as lines:
+        head = lines.header("regression", {"space": str, "grid": int})
+        scalar = {key: lines.header("", {key: float})[key] for key in ("intercept", "fit_residual", "anchor_d")}
+        phi = lines.vector("phi")
         return InversePipeline(
-            approach=space,
-            regression=regression,
-            anchor_d=scalars["anchor_d"],
-            anchor=vectors["anchor"],
-            anchor_field=vectors["anchor_field"],
-            grid_n=grid_n,
+            approach=head["space"],
+            regression=RegressionModel(head["space"], phi, scalar["intercept"], scalar["fit_residual"]),
+            anchor_d=scalar["anchor_d"],
+            anchor=lines.vector("anchor"),
+            anchor_field=lines.vector("anchor_field"),
+            grid_n=head["grid"],
             model=model,
-            optimizer_tag=optimizer_tag,
+            optimizer_tag=head.get("optimizer", "-"),
         )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc} in regression artifact") from exc

@@ -27,14 +27,7 @@ __all__ = [
     "DEFAULT_LEARNING_RATES",
     "make_optimizer",
     "single_blas_thread",
-    "TrainSchedule",
     "minibatch_stream",
-    "half_sse_loss",
-    "train",
-    "save_mlp",
-    "load_mlp",
-    "write_mlp_block",
-    "read_mlp_block",
 ]
 
 
@@ -294,19 +287,6 @@ def single_blas_thread():
         set_threads(previous)
 
 
-@dataclass(frozen=True)
-class TrainSchedule:
-    max_iterations: int
-    minibatch_size: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
-        if self.minibatch_size < 1:
-            raise ValueError(f"minibatch_size must be positive, got {self.minibatch_size}")
-
-
 def minibatch_stream(n: int, batch_size: int, rng):
     """Yield index minibatches forever: seeded shuffle, reshuffle per epoch.
 
@@ -323,105 +303,3 @@ def minibatch_stream(n: int, batch_size: int, rng):
             pos = 0
         yield perm[pos : pos + batch_size]
         pos += batch_size
-
-
-def half_sse_loss(prediction: np.ndarray, target: np.ndarray):
-    """Half summed-square error per sample, averaged over the minibatch."""
-    diff = prediction - target
-    rows = diff.shape[0]
-    return 0.5 * float(np.sum(diff * diff)) / rows, diff / rows
-
-
-def train(net: Mlp, inputs, targets, loss_fn, optimizer, schedule: TrainSchedule, rng=None):
-    """Run exactly schedule.max_iterations minibatch steps.
-
-    loss_fn(prediction, target) must return (scalar loss, d loss/d
-    prediction). Shuffling draws from rng, or from a fresh generator
-    seeded with schedule.seed when rng is None. The net is updated in
-    place; returns (net, per-iteration loss array). A non-finite loss
-    aborts with TrainingError naming the iteration.
-    """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if inputs.ndim != 2 or len(inputs) == 0:
-        raise ValueError("inputs must be a nonempty 2-D array")
-    if len(targets) != len(inputs):
-        raise ValueError(f"{len(targets)} targets for {len(inputs)} inputs")
-    if rng is None:
-        rng = np.random.default_rng(schedule.seed)
-    params = [*net.weights, *net.biases]
-    losses = np.empty(schedule.max_iterations)
-    stream = minibatch_stream(len(inputs), schedule.minibatch_size, rng)
-    with single_blas_thread():
-        for it in range(schedule.max_iterations):
-            idx = next(stream)
-            cache = forward(net, inputs[idx])
-            loss, out_grad = loss_fn(cache[-1], targets[idx])
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at iteration {it}")
-            w_grads, b_grads, _ = backward(net, cache, out_grad)
-            optimizer.step(params, [*w_grads, *b_grads])
-            losses[it] = loss
-    return net, losses
-
-
-def write_mlp_block(fh, net: Mlp) -> None:
-    """Append one network to a text stream: header, then per layer the
-    weight rows and the bias row, all floats repr'd for bit-exact reload."""
-    sizes = ":".join(str(s) for s in net.layer_sizes)
-    acts = ":".join(net.activations)
-    fh.write(f"mlp layers={sizes} activations={acts}\n")
-    for w, b in zip(net.weights, net.biases):
-        fh.write(f"weights {w.shape[0]} {w.shape[1]}\n")
-        for row in w:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        fh.write(f"biases {b.shape[0]}\n")
-        fh.write(",".join(repr(float(x)) for x in b) + "\n")
-
-
-def read_mlp_block(lines) -> Mlp:
-    """Inverse of write_mlp_block; lines is an iterator of text lines."""
-
-    def next_line() -> str:
-        try:
-            return next(lines).rstrip("\n")
-        except StopIteration:
-            raise ValueError("truncated network block") from None
-
-    head = next_line()
-    if not head.startswith("mlp "):
-        raise ValueError(f"expected network header, got {head!r}")
-    fields = dict(tok.split("=", 1) for tok in head.split()[1:])
-    sizes = [int(s) for s in fields["layers"].split(":")]
-    activations = tuple(fields["activations"].split(":"))
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        tag = next_line()
-        if tag != f"weights {fan_in} {fan_out}":
-            raise ValueError(f"expected 'weights {fan_in} {fan_out}', got {tag!r}")
-        w = np.empty((fan_in, fan_out))
-        for i in range(fan_in):
-            row = next_line().split(",")
-            if len(row) != fan_out:
-                raise ValueError(f"weight row {i} has {len(row)} entries, expected {fan_out}")
-            w[i] = [float(x) for x in row]
-        tag = next_line()
-        if tag != f"biases {fan_out}":
-            raise ValueError(f"expected 'biases {fan_out}', got {tag!r}")
-        row = next_line().split(",")
-        if len(row) != fan_out:
-            raise ValueError(f"bias row has {len(row)} entries, expected {fan_out}")
-        weights.append(w)
-        biases.append(np.asarray([float(x) for x in row]))
-    return Mlp(weights=weights, biases=biases, activations=activations)
-
-
-def save_mlp(net: Mlp, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        write_mlp_block(fh, net)
-
-
-def load_mlp(path) -> Mlp:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_mlp_block(iter(fh))

@@ -1,0 +1,71 @@
+"""Artifact bytes pinned by sha256: a dataset, an ae and a vae model, a
+fullspace and a latent regression artifact, and the exported field blocks
+of a small sweep.
+
+The digests were recorded from the writers before they shared one text
+codec, so they pin the file format byte for byte. Every input is built
+from seeded generators, SOR (pinned in test_fields) and the pure-Python
+inverse loop, with no matrix product or least-squares fit, so the bytes
+do not depend on the BLAS build or thread count.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from capinv.experiments import SweepConfig, export_results, run_noise_sweep
+from capinv.fields import generate_dataset, save_dataset
+from capinv.generative import build_model, save_model
+from capinv.inverse import InversePipeline, RegressionModel, save_pipeline
+
+
+def pipeline(approach, dataset, width):
+    rng = np.random.default_rng(17)
+    regression = RegressionModel(space=approach, phi=rng.normal(size=width), intercept=0.25, fit_residual=1e-3)
+    anchor = dataset.fields[1] if approach == "fullspace" else rng.normal(size=width)
+    return InversePipeline(
+        approach=approach,
+        regression=regression,
+        anchor_d=float(dataset.d[1]),
+        anchor=anchor,
+        anchor_field=dataset.fields[1],
+        grid_n=dataset.grid_n,
+        optimizer_tag="-" if approach == "fullspace" else "adam",
+    )
+
+
+def write_artifacts(root) -> dict:
+    """name -> path of each pinned artifact, written under root."""
+    dataset = generate_dataset([0.3, 0.5], fine_n=41, v0=2.5)
+    paths = {name: root / name for name in ("dataset.ds", "ae.model", "vae.model", "fullspace.reg", "latent.reg")}
+    save_dataset(dataset, paths["dataset.ds"])
+    for kind in ("ae", "vae"):
+        save_model(build_model(kind, 7, 5, 2, rng=np.random.default_rng(17)), paths[f"{kind}.model"])
+    full = pipeline("fullspace", dataset, dataset.fields.shape[1])
+    save_pipeline(full, paths["fullspace.reg"])
+    save_pipeline(pipeline("latent", dataset, 3), paths["latent.reg"])
+    config = SweepConfig(noise_levels=(0.1,), test_d=(0.3, 0.5), seeds=(0, 1), keep_fields_d=(0.3,))
+    export_results(run_noise_sweep(config, {"fullspace": full}, dataset), root / "sweep")
+    paths["fig6_fields.csv"] = root / "sweep" / "fig6_fields.csv"
+    return paths
+
+
+DIGESTS = {
+    "dataset.ds": "0ca6777d0df6457c06a0ddaeb91dd2613f5b548fadc5d5ca2e14464d107086af",
+    "ae.model": "74e22a0a9dcf57f893b1630dded7fe013257e5f8117b6b5b43d9844c3c9831b8",
+    "vae.model": "a1afe4ca936598a9c6bad02e852d53040b65010d0926bd0bce23a6684e15116d",
+    "fullspace.reg": "fb1cdec7d77fdfaca989caf8a01c3363fae3ce849d13dc421df3bfe7f28800b2",
+    "latent.reg": "e7232e6e8dd75526e8937b3eb5432bc0174059b8cfd6f3c8ed6a81266dfd29de",
+    "fig6_fields.csv": "20ea81700b082949807f0580c5881e072a518bd23b18d88137504f5beeb0b657",
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    return write_artifacts(tmp_path_factory.mktemp("artifacts"))
+
+
+@pytest.mark.parametrize("name", list(DIGESTS))
+def test_bytes_pinned(artifacts, name):
+    assert hashlib.sha256(artifacts[name].read_bytes()).hexdigest() == DIGESTS[name]

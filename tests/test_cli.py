@@ -135,6 +135,20 @@ class TestInvert:
         assert code == 1
         assert "requires --model" in capsys.readouterr().err
 
+    def test_malformed_regression_artifact_exits_one(self, workdir, tmp_path, capsys):
+        reg = tmp_path / "full.reg"
+        assert main(["invert", "--approach", "fullspace", "--data", str(workdir / "train.ds"),
+                     "--save-regression", str(reg), "--d", "0.5", "--out", str(tmp_path / "y.field")]) == 0
+        good = reg.read_text().splitlines(keepends=True)
+        capsys.readouterr()
+        for name, text in (("cut.reg", good[:5]), ("nan.reg", [good[0], "intercept=nan\n", *good[2:]])):
+            bad = tmp_path / name
+            bad.write_text("".join(text))
+            code = main(["invert", "--approach", "fullspace", "--regression", str(bad),
+                         "--d", "0.5", "--out", str(tmp_path / "z.field")])
+            assert code == 1
+            assert f"error: {bad}: " in capsys.readouterr().err
+
     def test_approach_mismatch_with_artifact(self, workdir, tmp_path, capsys):
         reg = tmp_path / "full.reg"
         main(["invert", "--approach", "fullspace", "--data", str(workdir / "train.ds"),

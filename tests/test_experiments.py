@@ -198,6 +198,16 @@ class TestExport:
         assert np.array_equal(blocks[1][1], kept[0].field_values)
         assert blocks[1][0]["approach"] == kept[0].approach
 
+    def test_malformed_field_blocks_rejected(self, tmp_path, small_result):
+        good = export_results(small_result, tmp_path / "ok")[0]
+        with open(good, encoding="ascii") as fh:
+            lines = fh.readlines()
+        path = tmp_path / "bad.csv"
+        for text in (lines[:-1], [lines[0].replace(",grid=21", "")] + lines[1:]):
+            path.write_text("".join(text))
+            with pytest.raises(ValueError, match=r"bad\.csv: "):
+                read_field_blocks(path)
+
     def test_ssd_tables_split_by_optimizer_tag(self, tmp_path, small_result):
         paths = export_results(small_result, tmp_path)
         _, non_adam = read_ssd_table(paths[1])

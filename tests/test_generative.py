@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from capinv import generative, network
-from capinv.network import Mlp, TrainingError, forward
+from capinv.network import Mlp, Momentum, TrainingError, forward, minibatch_stream
 from capinv.generative import (
     KINDS,
     GenerativeModel,
@@ -27,7 +27,6 @@ from capinv.generative import (
     kld_loss,
     load_model,
     rec_loss,
-    sample_latent,
     save_model,
     train_model,
     train_generative,
@@ -146,14 +145,6 @@ class TestLosses:
     def test_kld_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             kld_loss(np.zeros(2), np.array([1.0, 0.0]))
-
-    def test_sample_latent(self):
-        mu = np.array([1.0, -2.0])
-        sigma = np.array([0.5, 2.0])
-        eps = np.array([2.0, -1.0])
-        assert np.array_equal(sample_latent(mu, sigma, eps), [2.0, -4.0])
-        with pytest.raises(ValueError):
-            sample_latent(mu, sigma, np.zeros(3))
 
 
 class TestStepGradients:
@@ -274,8 +265,8 @@ class TestTraining:
         assert not np.array_equal(m1.encoder.weights[0], m3.encoder.weights[0])
 
     def test_noiseless_zero_beta_vae_follows_its_mean_head_ae(self):
-        # With beta=0 and the noise draw disabled the VAE objective reduces to
-        # the reconstruction of its mean head, so training must follow the
+        # With beta=0 and zero noise the VAE objective reduces to the
+        # reconstruction of its mean head, so its steps must follow the
         # trajectory of the AE assembled from that head and the same decoder.
         data = toy_fields(12, 6, seed=7)
         z = 3
@@ -291,17 +282,20 @@ class TestTraining:
             activations=vae.decoder.activations,
         )
         ae = GenerativeModel(kind="ae", encoder=enc, decoder=dec, latent_dim=z)
-        config_vae = GenerativeTrainConfig(
-            optimizer="momentum", learning_rate=1e-3, max_iterations=40,
-            minibatch_size=4, beta=0.0, latent_dim=z, hidden_dim=5, draw_noise=False,
-        )
-        config_ae = GenerativeTrainConfig(
-            optimizer="momentum", learning_rate=1e-3, max_iterations=40,
-            minibatch_size=4, latent_dim=z, hidden_dim=5,
-        )
-        hist_vae = train_model(vae, data, config_vae, np.random.default_rng(33))
-        hist_ae = train_model(ae, data, config_ae, np.random.default_rng(33))
-        assert np.allclose(hist_vae.rec, hist_ae.rec, rtol=1e-9, atol=1e-12)
+
+        def params(m):
+            return [*m.encoder.weights, *m.encoder.biases, *m.decoder.weights, *m.decoder.biases]
+
+        opt_vae, opt_ae = Momentum(1e-3), Momentum(1e-3)
+        stream = minibatch_stream(len(data), 4, np.random.default_rng(33))
+        zeros = np.zeros((4, z))
+        for _ in range(40):
+            batch = data[next(stream)]
+            rec_vae, _, grads_vae = _vae_step(vae, batch, zeros, 0.0)
+            rec_ae, _, grads_ae = _ae_step(ae, batch)
+            assert rec_vae == pytest.approx(rec_ae, rel=1e-9, abs=1e-12)
+            opt_vae.step(params(vae), grads_vae)
+            opt_ae.step(params(ae), grads_ae)
         assert np.allclose(vae.encoder.weights[1][:, :z], ae.encoder.weights[1], rtol=1e-9, atol=1e-12)
         assert np.allclose(vae.decoder.weights[0], ae.decoder.weights[0], rtol=1e-9, atol=1e-12)
 
@@ -344,6 +338,19 @@ class TestSerialization:
         path.write_text("")
         with pytest.raises(ValueError):
             load_model(path)
+        save_model(build_model("ae", 4, 3, 2, np.random.default_rng(0)), path)
+        good = path.read_text().splitlines(keepends=True)
+        bad_files = {
+            "no activations": [good[0], "mlp layers=4:3:2\n", *good[2:]],
+            "header without =": ["generative kind ae latent 2\n", *good[1:]],
+            "non-numeric weight": [good[0], good[1], good[2], "abc" + good[3][good[3].index(","):], *good[4:]],
+            "truncated": good[:-1],
+            "trailing data": [*good, "1.0\n"],
+        }
+        for text in bad_files.values():
+            path.write_text("".join(text))
+            with pytest.raises(ValueError, match=r"bad\.model: "):
+                load_model(path)
 
 
 # Trains a paper-width Adam VAE briefly and prints the sha256 of the saved

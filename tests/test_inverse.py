@@ -101,6 +101,11 @@ class TestFitRegression:
         with pytest.raises(ValueError):
             RegressionModel(space="nowhere", phi=np.zeros(2), intercept=0.0, fit_residual=0.0)
 
+    def test_non_finite_intercept_or_residual_rejected(self):
+        for intercept, residual in ((np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                RegressionModel(space="latent", phi=np.ones(2), intercept=intercept, fit_residual=residual)
+
     def test_predict_d_width_check(self):
         model = RegressionModel(space="latent", phi=np.ones(3), intercept=0.0, fit_residual=0.0)
         with pytest.raises(ValueError):
@@ -320,3 +325,17 @@ class TestPipelineSerialization:
         path.write_text("regression space=latent grid=21 optimizer=-\nintercept=0.5\n")
         with pytest.raises(ValueError):
             load_pipeline(path)
+        save_pipeline(fit_pipeline("fullspace", synthetic_dataset([0.2, 0.5, 0.8])), path)
+        good = path.read_text().splitlines(keepends=True)
+        assert good[4] == "phi 9\n"
+        bad_files = {
+            "truncated after phi count": good[:5],
+            "header without =": ["regression space fullspace\n", *good[1:]],
+            "non-finite intercept": [good[0], "intercept=nan\n", *good[2:]],
+            "non-numeric coefficient": [*good[:5], "abc," + good[5].split(",", 1)[1], *good[6:]],
+            "short coefficient row": [*good[:5], "1.0\n", *good[6:]],
+        }
+        for text in bad_files.values():
+            path.write_text("".join(text))
+            with pytest.raises(ValueError, match=r"bad\.reg: "):
+                load_pipeline(path)

@@ -1,5 +1,5 @@
 """Network tests: per-neuron forward oracle, finite-difference gradients,
-hand-stepped optimizer sequences, and the serialization round trip."""
+hand-stepped optimizer sequences and the minibatch stream."""
 
 import math
 
@@ -12,17 +12,10 @@ from capinv.network import (
     Mlp,
     Momentum,
     TrainingError,
-    TrainSchedule,
     backward,
     forward,
-    half_sse_loss,
-    load_mlp,
     make_optimizer,
     minibatch_stream,
-    save_mlp,
-    train,
-    write_mlp_block,
-    read_mlp_block,
 )
 
 
@@ -137,11 +130,11 @@ class TestBackward:
         target = rng.normal(size=(5, sizes[-1]))
 
         def objective():
-            return half_sse_loss(forward(net, batch)[-1], target)[0]
+            diff = forward(net, batch)[-1] - target
+            return 0.5 * float(np.sum(diff * diff))
 
         cache = forward(net, batch)
-        _, out_grad = half_sse_loss(cache[-1], target)
-        w_grads, b_grads, input_grad = backward(net, cache, out_grad)
+        w_grads, b_grads, input_grad = backward(net, cache, cache[-1] - target)
         for l in range(len(net.weights)):
             assert relative_error(w_grads[l], fd_gradient(objective, net.weights[l])) < 1e-5
             assert relative_error(b_grads[l], fd_gradient(objective, net.biases[l])) < 1e-5
@@ -259,92 +252,3 @@ class TestMinibatchStream:
     def test_rejects_oversized_batch(self):
         with pytest.raises(ValueError):
             next(minibatch_stream(4, 5, np.random.default_rng(0)))
-
-
-class TestTrain:
-    def test_runs_exact_iteration_count_and_reduces_loss(self):
-        rng = np.random.default_rng(0)
-        inputs = rng.normal(size=(30, 4))
-        targets = inputs @ rng.normal(size=(4, 2))
-        net = random_net((4, 8, 2), ("tanh", "linear"), 1)
-        schedule = TrainSchedule(max_iterations=400, minibatch_size=10, seed=0)
-        net, losses = train(net, inputs, targets, half_sse_loss, make_optimizer("adam"), schedule)
-        assert losses.shape == (400,)
-        assert losses[-1] < 0.2 * losses[0]
-
-    def test_deterministic_under_fixed_seed(self):
-        rng = np.random.default_rng(2)
-        inputs = rng.normal(size=(12, 3))
-        targets = rng.normal(size=(12, 2))
-
-        def run():
-            net = random_net((3, 5, 2), ("tanh", "linear"), 9)
-            schedule = TrainSchedule(max_iterations=50, minibatch_size=4, seed=5)
-            return train(net, inputs, targets, half_sse_loss, make_optimizer("momentum", 1e-3), schedule)
-
-        net_a, loss_a = run()
-        net_b, loss_b = run()
-        assert np.array_equal(loss_a, loss_b)
-        for wa, wb in zip(net_a.weights, net_b.weights):
-            assert np.array_equal(wa, wb)
-
-    def test_zero_learning_rate_keeps_parameters(self):
-        inputs = np.random.default_rng(0).normal(size=(8, 3))
-        net = random_net((3, 2), ("linear",), 0)
-        before = [w.copy() for w in net.weights]
-        schedule = TrainSchedule(max_iterations=10, minibatch_size=4)
-        train(net, inputs, inputs[:, :2], half_sse_loss, Momentum(0.0), schedule)
-        for w, b in zip(net.weights, before):
-            assert np.array_equal(w, b)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_divergence_raises_with_iteration(self):
-        inputs = np.random.default_rng(0).normal(size=(8, 2))
-        net = random_net((2, 2), ("linear",), 0)
-        schedule = TrainSchedule(max_iterations=50, minibatch_size=4)
-        with pytest.raises(TrainingError, match="iteration|gradient"):
-            train(net, inputs, inputs, half_sse_loss, Momentum(1e30), schedule)
-
-    def test_half_sse_loss_values(self):
-        pred = np.array([[1.0, 2.0], [3.0, 4.0]])
-        target = np.array([[0.0, 2.0], [3.0, 2.0]])
-        loss, grad = half_sse_loss(pred, target)
-        assert loss == 0.5 * (1.0 + 4.0) / 2.0
-        assert np.array_equal(grad, (pred - target) / 2.0)
-
-
-class TestSerialization:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        net = random_net((4, 7, 3), ("tanh", "linear"), 11)
-        path = tmp_path / "net.txt"
-        save_mlp(net, path)
-        back = load_mlp(path)
-        assert back.activations == net.activations
-        for wa, wb in zip(net.weights, back.weights):
-            assert np.array_equal(wa, wb)
-        for ba, bb in zip(net.biases, back.biases):
-            assert np.array_equal(ba, bb)
-
-    def test_block_stream_holds_multiple_nets(self, tmp_path):
-        a = random_net((2, 3), ("tanh",), 0)
-        b = random_net((3, 2, 4), ("tanh", "linear"), 1)
-        path = tmp_path / "two.txt"
-        with open(path, "w") as fh:
-            write_mlp_block(fh, a)
-            write_mlp_block(fh, b)
-        with open(path) as fh:
-            lines = iter(fh)
-            back_a = read_mlp_block(lines)
-            back_b = read_mlp_block(lines)
-        assert back_a.layer_sizes == (2, 3)
-        assert back_b.layer_sizes == (3, 2, 4)
-        assert np.array_equal(back_b.weights[1], b.weights[1])
-
-    def test_truncated_block_raises(self, tmp_path):
-        net = random_net((3, 2), ("tanh",), 0)
-        path = tmp_path / "trunc.txt"
-        save_mlp(net, path)
-        text = path.read_text().splitlines()[:-1]
-        path.write_text("\n".join(text))
-        with pytest.raises(ValueError):
-            load_mlp(path)
