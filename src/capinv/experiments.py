@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ import numpy as np
 from .fields import Dataset, FieldGrid, TEST_D
 from .generative import decode, encode
 from .inverse import (
-    InverseOptions,
     InverseProblem,
     InversePipeline,
     InversionError,
@@ -81,7 +80,6 @@ class SweepConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
     keep_fields_d: tuple = (0.36,)
     corrupt_field_first: bool = False
-    inverse_options: InverseOptions = field(default_factory=InverseOptions)
 
 
 @dataclass
@@ -142,39 +140,16 @@ def run_noise_sweep(config: SweepConfig, pipelines: dict, test_set: Dataset) -> 
             keep = any(math.isclose(d, k, abs_tol=1e-9) for k in config.keep_fields_d)
             for e in config.noise_levels:
                 for seed in config.seeds:
+                    cell = SweepCell(approach=name, optimizer=pipeline.optimizer_tag,
+                                     d=float(d), e=float(e), seed=int(seed), ssd=float("nan"))
                     try:
-                        grid = recover_field(
-                            pipeline,
-                            d,
-                            e,
-                            seed,
-                            options=config.inverse_options,
-                            corrupt_field_first=config.corrupt_field_first,
-                        )
-                        value = ssd(reference, grid)
-                        cells.append(
-                            SweepCell(
-                                approach=name,
-                                optimizer=pipeline.optimizer_tag,
-                                d=float(d),
-                                e=float(e),
-                                seed=int(seed),
-                                ssd=value,
-                                field_values=grid.values.copy() if keep else None,
-                            )
-                        )
+                        grid = recover_field(pipeline, d, e, seed, corrupt_field_first=config.corrupt_field_first)
+                        cell.ssd = ssd(reference, grid)
+                        if keep:
+                            cell.field_values = grid.values.copy()
                     except (InversionError, RegressionError, ValueError) as exc:
-                        cells.append(
-                            SweepCell(
-                                approach=name,
-                                optimizer=pipeline.optimizer_tag,
-                                d=float(d),
-                                e=float(e),
-                                seed=int(seed),
-                                ssd=float("nan"),
-                                error=str(exc),
-                            )
-                        )
+                        cell.error = str(exc)
+                    cells.append(cell)
     return SweepResult(cells=cells, groundtruth=truth)
 
 
@@ -186,17 +161,13 @@ def aggregate_cells(cells) -> list:
     independent because grouping ignores the seed.
     """
     groups: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
     for cell in cells:
-        key = (cell.approach, cell.optimizer, cell.d, cell.e)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
+        group = groups.setdefault((cell.approach, cell.optimizer, cell.d, cell.e), [])
         if cell.error is None:
-            groups[key].append(cell.ssd)
+            group.append(cell.ssd)
     rows = []
-    for key in order:
-        values = np.sort(np.asarray(groups[key]))
+    for key, group in groups.items():
+        values = np.sort(np.asarray(group))
         if values.size:
             median = float(np.median(values))
             iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
@@ -272,7 +243,6 @@ def run_timing(
         raise ValueError(f"warmup must be nonnegative, got {warmup}")
     rows = []
     for name, pipe in pipelines.items():
-        problem_opts = InverseOptions()
         if pipe.approach == "fullspace":
             features = dataset.fields
             encoder_ms = decoder_ms = None
@@ -280,19 +250,18 @@ def run_timing(
             model = pipe.model
             if model is None:
                 raise ValueError(f"pipeline {name!r} has no generative model attached")
-            out = encode(model, dataset.fields)
-            features = out if model.kind == "ae" else out[0]
+            features = encode(model, dataset.fields)
             encoder_ms = _median_ms(lambda: encode(model, pipe.anchor_field), repetitions, warmup)
         regression_ms = _median_ms(
             lambda: fit_regression(features, dataset.d, space=pipe.approach), repetitions, warmup
         )
         inverse_ms = _median_ms(
-            lambda: inverse_predict(pipe.regression, InverseProblem(target_d, pipe.anchor, problem_opts)),
+            lambda: inverse_predict(pipe.regression, InverseProblem(target_d, pipe.anchor)),
             repetitions,
             warmup,
         )
         if pipe.approach == "latent":
-            solution = inverse_predict(pipe.regression, InverseProblem(target_d, pipe.anchor, problem_opts))
+            solution = inverse_predict(pipe.regression, InverseProblem(target_d, pipe.anchor))
             decoder_ms = _median_ms(lambda: decode(pipe.model, solution), repetitions, warmup)
         rows.append(
             StageTiming(

@@ -92,29 +92,20 @@ def _as_batch(arr, width: int, what: str):
 
 
 def encode(model: GenerativeModel, v):
-    """Deterministic encoding: the code for "ae", (mu, sigma) for "vae".
+    """The code the inverse searches: the ae code, or the vae mean.
 
     No sampling happens here; training draws its stochastic codes itself.
     Accepts a single vector or a batch and mirrors the input's rank.
     """
     batch, single = _as_batch(v, model.input_dim, "field vector")
-    out = forward(model.encoder, batch)[-1]
-    if model.kind == "ae":
-        return out[0] if single else out
-    z = model.latent_dim
-    mu = out[:, :z]
-    sigma = np.exp(0.5 * out[:, z:])
-    return (mu[0], sigma[0]) if single else (mu, sigma)
+    out = forward(model.encoder, batch)[-1][:, : model.latent_dim]
+    return out[0] if single else out
 
 
-def decode(model: GenerativeModel, z, v0: float | None = None):
-    """Map latent codes to fields in [-1, 1]; scale by v0 when given."""
+def decode(model: GenerativeModel, z):
+    """Map latent codes to normalized fields in [-1, 1], mirroring the input's rank."""
     batch, single = _as_batch(z, model.latent_dim, "latent vector")
     out = forward(model.decoder, batch)[-1]
-    if v0 is not None:
-        if v0 <= 0.0:
-            raise ValueError(f"v0 must be positive, got {v0}")
-        out = out * v0
     return out[0] if single else out
 
 

@@ -16,7 +16,7 @@ dominated by fixed per-call overhead and would flatten that ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "InverseProblem",
     "InversePipeline",
     "fit_regression",
-    "predict_d",
     "add_awgn",
     "inverse_predict",
     "fit_pipeline",
@@ -119,13 +118,6 @@ def fit_regression(samples, targets, space: str) -> RegressionModel:
     )
 
 
-def predict_d(model: RegressionModel, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.phi.shape:
-        raise ValueError(f"vector shape {x.shape} does not match coefficients {model.phi.shape}")
-    return float(x @ model.phi + model.intercept)
-
-
 def add_awgn(x, e: float, seed: int) -> np.ndarray:
     """x plus white Gaussian noise of variance e, from a fresh seeded generator.
 
@@ -161,7 +153,7 @@ class InverseOptions:
 class InverseProblem:
     target_d: float
     initial_estimate: np.ndarray
-    options: InverseOptions = field(default_factory=InverseOptions)
+    options: InverseOptions = InverseOptions()
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.target_d <= 1.0):
@@ -231,7 +223,8 @@ class InversePipeline:
     anchor is the clean initial estimate in the search space: the training
     field nearest d = 0.5 for fullspace, that same field's encoding for
     latent. anchor_field keeps the underlying field either way so noise
-    can alternatively be applied before encoding.
+    can alternatively be applied before encoding. Construction checks
+    every width against grid_n and phi, and a latent model's against both.
     """
 
     approach: str
@@ -248,9 +241,20 @@ class InversePipeline:
             raise ValueError(f"unknown approach {self.approach!r}, expected one of {SPACES}")
         self.anchor = np.asarray(self.anchor, dtype=np.float64)
         self.anchor_field = np.asarray(self.anchor_field, dtype=np.float64)
-        if self.approach == "latent" and self.model is not None:
-            if self.anchor.shape != (self.model.latent_dim,):
-                raise ValueError("latent anchor width does not match the model's latent dimension")
+        cells = self.grid_n * self.grid_n
+        width = self.regression.phi.shape[0]
+        if self.anchor_field.shape != (cells,):
+            raise ValueError(f"anchor_field has shape {self.anchor_field.shape}, expected ({cells},) for the grid")
+        if self.anchor.shape != (width,):
+            raise ValueError(f"anchor has shape {self.anchor.shape}, expected ({width},) like phi")
+        if self.approach == "fullspace":
+            if width != cells:
+                raise ValueError(f"fullspace phi has {width} entries, expected {cells} for grid {self.grid_n}")
+        elif self.model is not None and (self.model.input_dim, self.model.latent_dim) != (cells, width):
+            raise ValueError(
+                f"model widths {self.model.input_dim}->{self.model.latent_dim} do not match "
+                f"grid {self.grid_n} ({cells} cells) and phi width {width}"
+            )
 
 
 def fit_pipeline(
@@ -280,8 +284,7 @@ def fit_pipeline(
             raise ValueError(
                 f"model input width {model.input_dim} does not match dataset width {dataset.fields.shape[1]}"
             )
-        out = encode(model, dataset.fields)
-        features = out if model.kind == "ae" else out[0]
+        features = encode(model, dataset.fields)
         anchor = features[anchor_idx].copy()
     regression = fit_regression(features, dataset.d, space=approach)
     return InversePipeline(
@@ -301,32 +304,26 @@ def recover_field(
     target_d: float,
     noise_e: float,
     seed: int,
-    options: InverseOptions | None = None,
     corrupt_field_first: bool = False,
 ) -> FieldGrid:
     """Predict the (normalized) coarse field for target_d under noise.
 
-    Noise of variance noise_e corrupts the clean initial estimate in the
-    approach's own search space; corrupt_field_first=True instead corrupts
-    the anchor field before encoding it (latent only; a no-op distinction
-    for fullspace). noise_e = 0 keeps everything deterministic.
+    The search starts from the anchor plus noise of variance noise_e, in the
+    approach's own search space. With corrupt_field_first a latent approach
+    instead starts from the encoding of the noisy anchor field; fullspace
+    gives the same field either way. A latent solution is decoded. noise_e =
+    0 keeps everything deterministic.
     """
-    opts = options if options is not None else InverseOptions()
-    if pipeline.approach == "fullspace":
-        start = add_awgn(pipeline.anchor, noise_e, seed)
-        solution = inverse_predict(pipeline.regression, InverseProblem(target_d, start, opts))
-        values = solution
+    latent = pipeline.approach == "latent"
+    if latent and pipeline.model is None:
+        raise ValueError("latent pipeline has no generative model attached")
+    if latent and corrupt_field_first:
+        start = encode(pipeline.model, add_awgn(pipeline.anchor_field, noise_e, seed))
     else:
-        if pipeline.model is None:
-            raise ValueError("latent pipeline has no generative model attached")
-        if corrupt_field_first:
-            noisy = add_awgn(pipeline.anchor_field, noise_e, seed)
-            out = encode(pipeline.model, noisy)
-            start = out if pipeline.model.kind == "ae" else out[0]
-        else:
-            start = add_awgn(pipeline.anchor, noise_e, seed)
-        solution = inverse_predict(pipeline.regression, InverseProblem(target_d, start, opts))
-        values = decode(pipeline.model, solution)
+        start = add_awgn(pipeline.anchor, noise_e, seed)
+    values = inverse_predict(pipeline.regression, InverseProblem(target_d, start))
+    if latent:
+        values = decode(pipeline.model, values)
     side = pipeline.grid_n
     return FieldGrid(values=values.reshape(side, side), units="normalized")
 

@@ -141,7 +141,13 @@ class TestInvert:
                      "--save-regression", str(reg), "--d", "0.5", "--out", str(tmp_path / "y.field")]) == 0
         good = reg.read_text().splitlines(keepends=True)
         capsys.readouterr()
-        for name, text in (("cut.reg", good[:5]), ("nan.reg", [good[0], "intercept=nan\n", *good[2:]])):
+        assert " grid=21 " in good[0]
+        bad_files = (
+            ("cut.reg", good[:5]),
+            ("nan.reg", [good[0], "intercept=nan\n", *good[2:]]),
+            ("grid.reg", [good[0].replace(" grid=21 ", " grid=22 "), *good[1:]]),
+        )
+        for name, text in bad_files:
             bad = tmp_path / name
             bad.write_text("".join(text))
             code = main(["invert", "--approach", "fullspace", "--regression", str(bad),

@@ -23,7 +23,6 @@ from capinv.inverse import (
     fit_regression,
     inverse_predict,
     load_pipeline,
-    predict_d,
     recover_field,
     save_pipeline,
 )
@@ -53,7 +52,7 @@ class TestFitRegression:
         assert np.allclose(model.phi, phi_true, atol=1e-10)
         assert model.intercept == pytest.approx(c_true, abs=1e-10)
         assert model.fit_residual < 1e-10
-        assert predict_d(model, x[7]) == pytest.approx(d[7], abs=1e-9)
+        assert x[7] @ model.phi + model.intercept == pytest.approx(d[7], abs=1e-9)
 
     def test_constant_targets_give_zero_coefficients(self):
         rng = np.random.default_rng(1)
@@ -105,11 +104,6 @@ class TestFitRegression:
         for intercept, residual in ((np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan)):
             with pytest.raises(ValueError, match="must be finite"):
                 RegressionModel(space="latent", phi=np.ones(2), intercept=intercept, fit_residual=residual)
-
-    def test_predict_d_width_check(self):
-        model = RegressionModel(space="latent", phi=np.ones(3), intercept=0.0, fit_residual=0.0)
-        with pytest.raises(ValueError):
-            predict_d(model, np.ones(4))
 
 
 class TestAddAwgn:
@@ -224,7 +218,7 @@ class TestPipeline:
     def test_latent_features_are_encoder_means(self, unit_train, unit_vae):
         model, _ = unit_vae
         pipe = fit_pipeline("latent", unit_train, model=model)
-        mu, _ = generative.encode(model, unit_train.fields)
+        mu = generative.encode(model, unit_train.fields)
         refit = fit_regression(mu, unit_train.d, "latent")
         assert np.array_equal(pipe.regression.phi, refit.phi)
         anchor_idx = int(np.argmin(np.abs(unit_train.d - 0.5)))
@@ -265,16 +259,22 @@ class TestPipeline:
         want = generative.decode(pipe.model, solution).reshape(21, 21)
         assert np.allclose(grid.values, want, atol=1e-12)
 
-    def test_corrupt_field_first_encodes_the_noisy_field(self, unit_pipelines):
-        pipe = unit_pipelines["vae"]
+    @pytest.mark.parametrize("kind", ["ae", "vae"])
+    def test_corrupt_field_first_encodes_the_noisy_field(self, unit_pipelines, kind):
+        pipe = unit_pipelines[kind]
         grid = recover_field(pipe, 0.5, 0.3, seed=7, corrupt_field_first=True)
         noisy = add_awgn(pipe.anchor_field, 0.3, seed=7)
-        start = generative.encode(pipe.model, noisy)[0]
+        start = generative.encode(pipe.model, noisy)
         solution = inverse_predict(pipe.regression, InverseProblem(0.5, start))
         want = generative.decode(pipe.model, solution).reshape(21, 21)
         assert np.allclose(grid.values, want, atol=1e-12)
         # and it is a different start than corrupting the code directly
         assert not np.allclose(grid.values, recover_field(pipe, 0.5, 0.3, seed=7).values)
+
+    def test_corrupt_field_first_is_moot_for_fullspace(self, unit_pipelines):
+        pipe = unit_pipelines["fullspace"]
+        plain = recover_field(pipe, 0.5, 0.3, seed=7)
+        assert np.array_equal(recover_field(pipe, 0.5, 0.3, seed=7, corrupt_field_first=True).values, plain.values)
 
     def test_same_seed_reproduces_same_field(self, unit_pipelines):
         a = recover_field(unit_pipelines["ae"], 0.7, 1.0, seed=3)
@@ -328,12 +328,14 @@ class TestPipelineSerialization:
         save_pipeline(fit_pipeline("fullspace", synthetic_dataset([0.2, 0.5, 0.8])), path)
         good = path.read_text().splitlines(keepends=True)
         assert good[4] == "phi 9\n"
+        assert " grid=3 " in good[0]
         bad_files = {
             "truncated after phi count": good[:5],
             "header without =": ["regression space fullspace\n", *good[1:]],
             "non-finite intercept": [good[0], "intercept=nan\n", *good[2:]],
             "non-numeric coefficient": [*good[:5], "abc," + good[5].split(",", 1)[1], *good[6:]],
             "short coefficient row": [*good[:5], "1.0\n", *good[6:]],
+            "edited grid": [good[0].replace(" grid=3 ", " grid=4 "), *good[1:]],
         }
         for text in bad_files.values():
             path.write_text("".join(text))
