@@ -13,10 +13,8 @@ from .network import DEFAULT_LEARNING_RATES, TrainingError
 from .textio import _row
 
 _USAGE_ERRORS = (
-    fields.GeometryError,
     fields.ConvergenceError,
     TrainingError,
-    inverse.RegressionError,
     inverse.InversionError,
     ValueError,
     OSError,

@@ -19,14 +19,13 @@ from .fields import Dataset, FieldGrid, TEST_D
 from .generative import decode, encode
 from .inverse import (
     InverseProblem,
-    InversePipeline,
     InversionError,
     RegressionError,
     fit_regression,
     inverse_predict,
     recover_field,
 )
-from .textio import _header, _reading, _row
+from .textio import _header, _row
 
 __all__ = [
     "ssd",
@@ -40,10 +39,7 @@ __all__ = [
     "aggregate_cells",
     "run_timing",
     "export_results",
-    "read_ssd_table",
     "read_sweep_cells",
-    "read_timing_table",
-    "read_field_blocks",
 ]
 
 EXPORT_NAMES = (
@@ -128,16 +124,15 @@ def run_noise_sweep(config: SweepConfig, pipelines: dict, test_set: Dataset) -> 
     """
     cells: list[SweepCell] = []
     truth: list[tuple[float, np.ndarray]] = []
-    kept = set()
+    targets = []  # (d, groundtruth grid, keep its recovered fields)
     for d in config.test_d:
-        idx = _match_d(test_set.d, d)  # fail fast if the groundtruth is missing
-        if any(math.isclose(d, k, abs_tol=1e-9) for k in config.keep_fields_d) and d not in kept:
-            truth.append((float(d), test_set.field_grid(idx).values))
-            kept.add(d)
+        reference = test_set.field_grid(_match_d(test_set.d, d))  # fail fast if the groundtruth is missing
+        keep = any(math.isclose(d, k, abs_tol=1e-9) for k in config.keep_fields_d)
+        if keep and all(t != d for t, _ in truth):
+            truth.append((float(d), reference.values))
+        targets.append((d, reference, keep))
     for name, pipeline in pipelines.items():
-        for d in config.test_d:
-            reference = test_set.field_grid(_match_d(test_set.d, d))
-            keep = any(math.isclose(d, k, abs_tol=1e-9) for k in config.keep_fields_d)
+        for d, reference, keep in targets:
             for e in config.noise_levels:
                 for seed in config.seeds:
                     cell = SweepCell(approach=name, optimizer=pipeline.optimizer_tag,
@@ -207,7 +202,6 @@ class StageTiming:
 class TimingTable:
     rows: list
     repetitions: int
-    target_d: float
 
 
 def _median_ms(fn, repetitions: int, warmup: int) -> float:
@@ -274,7 +268,7 @@ def run_timing(
                 decoder_ms=decoder_ms,
             )
         )
-    return TimingTable(rows=rows, repetitions=repetitions, target_d=target_d)
+    return TimingTable(rows=rows, repetitions=repetitions)
 
 
 def _fmt(value) -> str:
@@ -361,27 +355,6 @@ def export_results(result: SweepResult, out_dir, timing: TimingTable | None = No
     return [str(p) for p in paths]
 
 
-def read_ssd_table(path):
-    """(header, rows) from fig8/fig9 files; numeric columns parsed to float/int."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for rec in reader:
-            rows.append(
-                AggregateRow(
-                    approach=rec[0],
-                    optimizer=rec[1],
-                    d=float(rec[2]),
-                    e=float(rec[3]),
-                    n_seeds=int(rec[4]),
-                    ssd_median=float(rec[5]),
-                    ssd_iqr=float(rec[6]),
-                )
-            )
-    return header, rows
-
-
 def read_sweep_cells(path):
     """The raw cells back from sweep_cells.csv (without kept fields)."""
     with open(path, "r", encoding="ascii", newline="") as fh:
@@ -402,23 +375,3 @@ def read_sweep_cells(path):
             )
     return cells
 
-
-def read_timing_table(path):
-    """(header, rows-as-lists) from table2_timing.csv, cells kept as strings."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [rec for rec in reader]
-
-
-def read_field_blocks(path):
-    """List of (meta dict, values array) blocks from a field-block file.
-
-    Meta values are the strings written, except grid, which is an int.
-    """
-    blocks = []
-    with _reading(path, "field block file") as lines:
-        while not lines.at_end():
-            meta = lines.header("", {"grid": int}, ",")
-            blocks.append((meta, lines.rows(meta["grid"], meta["grid"], "grid row")))
-    return blocks

@@ -14,7 +14,7 @@ with h = 1/(n-1), so row index follows y and column index follows x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -134,15 +134,12 @@ def add_awgn(x, e: float, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InverseOptions:
-    """step_size None means the quadratic's natural step 0.5/(phi.phi)."""
+    """Stop once |residual| < residual_tol; fail after max_iterations updates."""
 
-    step_size: float | None = None
     residual_tol: float = 1e-8
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.step_size is not None and self.step_size <= 0.0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
         if self.residual_tol <= 0.0:
             raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
         if self.max_iterations < 0:
@@ -193,7 +190,7 @@ def inverse_predict(model: RegressionModel, problem: InverseProblem) -> np.ndarr
             residual=abs(offset),
             iterations=0,
         )
-    step = 0.5 / pp if opts.step_size is None else opts.step_size
+    step = 0.5 / pp
 
     r = offset
     for xi, p in zip(x, phi):

@@ -38,20 +38,6 @@ class TrainingError(RuntimeError):
 _ACTIVATIONS = ("tanh", "linear")
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _derivative_from_output(name: str, a: np.ndarray) -> np.ndarray:
-    # Both supported activations allow the derivative to be recovered from
-    # the activation output itself, which is what the forward cache holds.
-    if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(a)
-
-
 @dataclass
 class Mlp:
     """Fully connected network: weights[l] has shape (fan_in, fan_out).
@@ -120,7 +106,9 @@ def forward(net: Mlp, batch: np.ndarray) -> list:
         raise ValueError(f"batch shape {a.shape} does not match input width {net.weights[0].shape[0]}")
     cache = [a]
     for w, b, name in zip(net.weights, net.biases, net.activations):
-        a = _activate(name, a @ w + b)
+        a = a @ w + b
+        if name == "tanh":
+            a = np.tanh(a)
         cache.append(a)
     return cache
 
@@ -147,7 +135,10 @@ def backward(net: Mlp, activations: list, output_gradient: np.ndarray):
     weight_grads = [None] * len(net.weights)
     bias_grads = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, -1, -1):
-        delta = grad * _derivative_from_output(net.activations[l], activations[l + 1])
+        # Both activations' derivatives follow from the cached output:
+        # 1 - a^2 for tanh, 1 for linear.
+        a = activations[l + 1]
+        delta = grad * (1.0 - a * a) if net.activations[l] == "tanh" else grad
         weight_grads[l] = activations[l].T @ delta
         bias_grads[l] = delta.sum(axis=0)
         grad = delta @ net.weights[l].T

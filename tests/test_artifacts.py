@@ -1,12 +1,14 @@
 """Artifact bytes pinned by sha256: a dataset, an ae and a vae model, a
-fullspace and a latent regression artifact, and the exported field blocks
-of a small sweep.
+fullspace and a latent regression artifact, and the exported field blocks,
+aggregate tables and raw cells of a small sweep.
 
 The digests were recorded from the writers before they shared one text
-codec, so they pin the file format byte for byte. Every input is built
-from seeded generators, SOR (pinned in test_fields) and the pure-Python
-inverse loop, with no matrix product or least-squares fit, so the bytes
-do not depend on the BLAS build or thread count.
+codec, so they pin the file format byte for byte. The three sweep tables
+come from csv.writer and so end their lines in \r\n. The sweep has only
+a fullspace pipeline, so fig9_ssd.csv pins the header alone. Every input
+is built from seeded generators, SOR (pinned in test_fields) and the
+pure-Python inverse loop, with no matrix product or least-squares fit, so
+the bytes do not depend on the BLAS build or thread count.
 """
 
 import hashlib
@@ -47,7 +49,8 @@ def write_artifacts(root) -> dict:
     save_pipeline(pipeline("latent", dataset, 3), paths["latent.reg"])
     config = SweepConfig(noise_levels=(0.1,), test_d=(0.3, 0.5), seeds=(0, 1), keep_fields_d=(0.3,))
     export_results(run_noise_sweep(config, {"fullspace": full}, dataset), root / "sweep")
-    paths["fig6_fields.csv"] = root / "sweep" / "fig6_fields.csv"
+    for name in ("fig6_fields.csv", "fig8_ssd.csv", "fig9_ssd.csv", "sweep_cells.csv"):
+        paths[name] = root / "sweep" / name
     return paths
 
 
@@ -58,6 +61,9 @@ DIGESTS = {
     "fullspace.reg": "fb1cdec7d77fdfaca989caf8a01c3363fae3ce849d13dc421df3bfe7f28800b2",
     "latent.reg": "e7232e6e8dd75526e8937b3eb5432bc0174059b8cfd6f3c8ed6a81266dfd29de",
     "fig6_fields.csv": "20ea81700b082949807f0580c5881e072a518bd23b18d88137504f5beeb0b657",
+    "fig8_ssd.csv": "a4849ae813b2b3c2badbcf95c507b78753ed56b2cf208d50c6a06c5bc7ab1d7a",
+    "fig9_ssd.csv": "5c49b36d34d6e7021a09c9c6d94ac8f806a566abf1d34637bcd24a5624501637",
+    "sweep_cells.csv": "e794fd740dba0b84f814ebff6e0a3720d1ff7d924ffa7da84f77a4230e899b8c",
 }
 
 

@@ -1,7 +1,9 @@
 """Harness tests: metric identities, sweep bookkeeping, aggregation
 arithmetic, timing table structure, and export round trips."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,16 +17,17 @@ from capinv.experiments import (
     SweepResult,
     aggregate_cells,
     export_results,
-    read_field_blocks,
-    read_ssd_table,
     read_sweep_cells,
-    read_timing_table,
     run_noise_sweep,
     run_timing,
     ssd,
     write_timing_table,
 )
 from capinv.inverse import recover_field
+
+
+def csv_rows(path) -> list:
+    return list(csv.reader(Path(path).read_text(encoding="ascii").splitlines()))
 
 
 def grid(values, units="normalized"):
@@ -190,7 +193,9 @@ class TestExport:
 
     def test_field_blocks_round_trip(self, tmp_path, small_result):
         paths = export_results(small_result, tmp_path)
-        blocks = read_field_blocks(paths[0])
+        rows = csv_rows(paths[0])  # blocks of a meta line then 21 grid rows
+        blocks = [(dict(item.split("=", 1) for item in rows[i]), np.array(rows[i + 1:i + 22], dtype=float))
+                  for i in range(0, len(rows), 22)]
         assert blocks[0][0]["approach"] == "groundtruth"
         assert np.array_equal(blocks[0][1], small_result.groundtruth[0][1])
         kept = [c for c in small_result.cells if c.field_values is not None]
@@ -198,29 +203,19 @@ class TestExport:
         assert np.array_equal(blocks[1][1], kept[0].field_values)
         assert blocks[1][0]["approach"] == kept[0].approach
 
-    def test_malformed_field_blocks_rejected(self, tmp_path, small_result):
-        good = export_results(small_result, tmp_path / "ok")[0]
-        with open(good, encoding="ascii") as fh:
-            lines = fh.readlines()
-        path = tmp_path / "bad.csv"
-        for text in (lines[:-1], [lines[0].replace(",grid=21", "")] + lines[1:]):
-            path.write_text("".join(text))
-            with pytest.raises(ValueError, match=r"bad\.csv: "):
-                read_field_blocks(path)
-
     def test_ssd_tables_split_by_optimizer_tag(self, tmp_path, small_result):
         paths = export_results(small_result, tmp_path)
-        _, non_adam = read_ssd_table(paths[1])
-        _, adam = read_ssd_table(paths[2])
+        _, *non_adam = csv_rows(paths[1])
+        _, *adam = csv_rows(paths[2])
         # unit pipelines: fullspace tagged "-", both latents tagged "adam"
-        assert {r.approach for r in non_adam} == {"fullspace"}
-        assert {r.approach for r in adam} == {"ae", "vae"}
+        assert {r[0] for r in non_adam} == {"fullspace"}
+        assert {r[0] for r in adam} == {"ae", "vae"}
         want = {(r.approach, r.optimizer, r.d, r.e): r for r in aggregate_cells(small_result.cells)}
-        for row in non_adam + adam:
-            ref = want[(row.approach, row.optimizer, row.d, row.e)]
-            assert row.ssd_median == ref.ssd_median
-            assert row.ssd_iqr == ref.ssd_iqr
-            assert row.n_seeds == ref.n_seeds
+        for approach, optimizer, d, e, n_seeds, median, iqr in non_adam + adam:
+            ref = want[(approach, optimizer, float(d), float(e))]
+            assert float(median) == ref.ssd_median
+            assert float(iqr) == ref.ssd_iqr
+            assert int(n_seeds) == ref.n_seeds
 
     def test_sweep_cells_round_trip(self, tmp_path, small_result):
         paths = export_results(small_result, tmp_path)
@@ -243,7 +238,7 @@ class TestExport:
     def test_timing_table_round_trip(self, tmp_path, unit_pipelines, unit_train, small_result):
         timing = run_timing(unit_pipelines, unit_train, repetitions=3, warmup=0, target_d=0.5)
         paths = export_results(small_result, tmp_path, timing=timing)
-        header, rows = read_timing_table(paths[3])
+        header, *rows = csv_rows(paths[3])
         assert header == ["stage", "fullspace", "ae", "vae"]
         by_stage = {r[0]: r[1:] for r in rows}
         assert by_stage["space_dim"] == ["441", "10", "10"]
@@ -255,17 +250,16 @@ class TestExport:
         timing = run_timing(unit_pipelines, unit_train, repetitions=3, warmup=0, target_d=0.5)
         path = tmp_path / "timing.csv"
         write_timing_table(timing, path)
-        header, rows = read_timing_table(path)
+        header, *rows = csv_rows(path)
         assert header[0] == "stage"
         assert len(rows) == 2 + len(TIMING_STAGES) + 1
 
     def test_empty_result_writes_headers_only(self, tmp_path):
         paths = export_results(SweepResult(cells=[], groundtruth=[]), tmp_path)
-        assert read_field_blocks(paths[0]) == []
+        assert Path(paths[0]).read_bytes() == b""
         for p in (paths[1], paths[2]):
-            header, rows = read_ssd_table(p)
+            header, *rows = csv_rows(p)
             assert header[0] == "approach"
             assert rows == []
-        header, rows = read_timing_table(paths[3])
-        assert (header, rows) == (["stage"], [])
+        assert csv_rows(paths[3]) == [["stage"]]
         assert read_sweep_cells(paths[4]) == []
