@@ -1,8 +1,9 @@
-"""Command-line front end: generate / train / invert / sweep / bench."""
+"""Command-line front end: generate / train / invert / sweep."""
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -89,20 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="config keys: train_data, test_data, out_dir (required); approaches "
         "(comma list, default fullspace); model_<name>= and optimizer_<name>= per "
         "latent approach; noise_levels, test_d, seeds, keep_fields_d (comma lists); "
-        "timing_reps (0 disables timing), timing_warmup; corrupt_field_first.",
+        "timing_reps (0 disables timing); corrupt_field_first (true/false/yes/no/1/0).",
     )
     p.add_argument("--config", required=True, help="key=value config file (one pair per line, # comments)")
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("bench", help="time the pipeline stages per approach")
-    p.add_argument("--data", required=True, help="training dataset")
-    p.add_argument("--ae-model", default=None, help="autoencoder model file")
-    p.add_argument("--vae-model", default=None, help="variational model file")
-    p.add_argument("--reps", type=int, default=100, help="timing repetitions (default 100)")
-    p.add_argument("--warmup", type=int, default=10, help="warmup calls per stage (default 10)")
-    p.add_argument("--target-d", type=float, default=0.36, help="separation used for the inverse stage")
-    p.add_argument("--out", required=True, help="timing table to write")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -191,14 +182,37 @@ def _cmd_invert(args) -> int:
     return 0
 
 
+def _list(kind):
+    return lambda text: tuple(kind(tok) for tok in text.split(",") if tok.strip())
+
+
+_FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _flag(text: str) -> bool:
+    if text.lower() not in _FLAGS:
+        raise ValueError(f"expected one of {'/'.join(_FLAGS)}, got {text!r}")
+    return _FLAGS[text.lower()]
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be nonnegative, got {value}")
+    return value
+
+
+# The parser of each fixed sweep config key. A key absent from the file keeps
+# the default of the SweepConfig field or run_timing argument it feeds.
 _SWEEP_KEYS = {
-    "train_data", "test_data", "out_dir", "approaches", "noise_levels", "test_d",
-    "seeds", "keep_fields_d", "timing_reps", "timing_warmup", "corrupt_field_first",
+    "train_data": str, "test_data": str, "out_dir": str, "approaches": _list(str.strip),
+    "noise_levels": _list(float), "test_d": _list(float), "seeds": _list(int),
+    "keep_fields_d": _list(float), "corrupt_field_first": _flag, "timing_reps": _count,
 }
 
 
 def _parse_sweep_config(path) -> dict:
-    values: dict[str, str] = {}
+    values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -207,26 +221,25 @@ def _parse_sweep_config(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = line.split("=", 1)
         key = key.strip()
-        if key not in _SWEEP_KEYS and not key.startswith("model_") and not key.startswith("optimizer_"):
+        parse = _SWEEP_KEYS.get(key, str if key.startswith(("model_", "optimizer_")) else None)
+        if parse is None:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val.strip()
+        try:
+            values[key] = parse(val.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
     for required in ("train_data", "test_data", "out_dir"):
         if required not in values:
             raise ValueError(f"{path}: missing required key {required!r}")
     return values
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
 def _cmd_sweep(args) -> int:
     cfg = _parse_sweep_config(args.config)
     train_set = fields.load_dataset(cfg["train_data"])
     test_set = fields.load_dataset(cfg["test_data"])
-    names = [tok.strip() for tok in cfg.get("approaches", "fullspace").split(",") if tok.strip()]
     pipelines = {}
-    for name in names:
+    for name in cfg.get("approaches", ("fullspace",)):
         if name == "fullspace":
             pipelines[name] = inverse.fit_pipeline(
                 "fullspace", train_set, optimizer_tag=cfg.get("optimizer_fullspace", "-")
@@ -239,48 +252,18 @@ def _cmd_sweep(args) -> int:
         tag = cfg.get(f"optimizer_{name}", "momentum")
         pipelines[name] = inverse.fit_pipeline("latent", train_set, model=model, optimizer_tag=tag)
     sweep_config = experiments.SweepConfig(
-        noise_levels=_floats(cfg.get("noise_levels", "0.01,0.1,0.5,1.0")),
-        test_d=_floats(cfg.get("test_d", ",".join(str(d) for d in fields.TEST_D))),
-        seeds=tuple(int(s) for s in cfg.get("seeds", "0,1,2,3,4").split(",") if s.strip()),
-        keep_fields_d=_floats(cfg.get("keep_fields_d", "0.36")),
-        corrupt_field_first=cfg.get("corrupt_field_first", "false").lower() in ("true", "1", "yes"),
+        **{f.name: cfg[f.name] for f in dataclasses.fields(experiments.SweepConfig) if f.name in cfg}
     )
     result = experiments.run_noise_sweep(sweep_config, pipelines, test_set)
-    reps = int(cfg.get("timing_reps", "100"))
     timing = None
-    if reps > 0:
-        timing = experiments.run_timing(
-            pipelines, train_set, repetitions=reps, warmup=int(cfg.get("timing_warmup", "10"))
-        )
+    if cfg.get("timing_reps") != 0:
+        reps = {"repetitions": cfg["timing_reps"]} if "timing_reps" in cfg else {}
+        timing = experiments.run_timing(pipelines, train_set, **reps)
     paths = experiments.export_results(result, cfg["out_dir"], timing=timing)
     failures = sum(1 for cell in result.cells if cell.error is not None)
     print(f"swept {len(result.cells)} cells ({failures} failed); wrote:")
     for p in paths:
         print(f"  {p}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    dataset = fields.load_dataset(args.data)
-    pipelines = {"fullspace": inverse.fit_pipeline("fullspace", dataset)}
-    if args.ae_model is not None:
-        pipelines["ae"] = inverse.fit_pipeline(
-            "latent", dataset, model=generative.load_model(args.ae_model), optimizer_tag="-"
-        )
-    if args.vae_model is not None:
-        pipelines["vae"] = inverse.fit_pipeline(
-            "latent", dataset, model=generative.load_model(args.vae_model), optimizer_tag="-"
-        )
-    timing = experiments.run_timing(
-        pipelines, dataset, repetitions=args.reps, warmup=args.warmup, target_d=args.target_d
-    )
-    experiments.write_timing_table(timing, args.out)
-    for row in timing.rows:
-        print(
-            f"{row.approach}: dim={row.space_dim} inverse={row.inverse_ms:.4f} ms "
-            f"(median of {timing.repetitions})"
-        )
-    print(f"wrote timing table to {args.out}")
     return 0
 
 

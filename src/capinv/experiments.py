@@ -34,7 +34,6 @@ __all__ = [
     "AggregateRow",
     "SweepResult",
     "StageTiming",
-    "TimingTable",
     "run_noise_sweep",
     "aggregate_cells",
     "run_timing",
@@ -51,6 +50,8 @@ EXPORT_NAMES = (
 )
 
 TIMING_STAGES = ("encoder", "regression", "inverse", "decoder")
+_TIMING_WARMUP = 10  # untimed calls per stage before the timed repetitions
+_TIMING_TARGET_D = 0.36  # separation the inverse stage is timed at
 
 
 def ssd(a: FieldGrid, b: FieldGrid) -> float:
@@ -198,14 +199,8 @@ class StageTiming:
         return sum(v for v in (self.encoder_ms, self.regression_ms, self.inverse_ms, self.decoder_ms) if v is not None)
 
 
-@dataclass
-class TimingTable:
-    rows: list
-    repetitions: int
-
-
-def _median_ms(fn, repetitions: int, warmup: int) -> float:
-    for _ in range(warmup):
+def _median_ms(fn, repetitions: int) -> float:
+    for _ in range(_TIMING_WARMUP):
         fn()
     samples = np.empty(repetitions)
     for i in range(repetitions):
@@ -215,26 +210,19 @@ def _median_ms(fn, repetitions: int, warmup: int) -> float:
     return float(np.median(samples)) * 1e3
 
 
-def run_timing(
-    pipelines: dict,
-    dataset: Dataset,
-    repetitions: int = 100,
-    warmup: int = 10,
-    target_d: float = 0.36,
-) -> TimingTable:
-    """Median wall-clock per pipeline stage, in milliseconds.
+def run_timing(pipelines: dict, dataset: Dataset, repetitions: int = 100) -> list:
+    """One StageTiming row per pipeline: median wall-clock per stage, in ms.
 
     Stages: encoder (one field encoded), regression (affine fit on the
     full training set in the approach's space), inverse (gradient descent
-    to target_d from the clean anchor), decoder (one latent decoded).
+    to _TIMING_TARGET_D from the clean anchor), decoder (one latent
+    decoded). Each stage first runs _TIMING_WARMUP untimed calls.
     Fullspace has no encoder/decoder stage (None). The search-space
     dimension is recorded next to the timings. Times are hardware
     specific; only their relative structure is meaningful.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be nonnegative, got {warmup}")
     rows = []
     for name, pipe in pipelines.items():
         if pipe.approach == "fullspace":
@@ -245,18 +233,17 @@ def run_timing(
             if model is None:
                 raise ValueError(f"pipeline {name!r} has no generative model attached")
             features = encode(model, dataset.fields)
-            encoder_ms = _median_ms(lambda: encode(model, pipe.anchor_field), repetitions, warmup)
+            encoder_ms = _median_ms(lambda: encode(model, pipe.anchor_field), repetitions)
         regression_ms = _median_ms(
-            lambda: fit_regression(features, dataset.d, space=pipe.approach), repetitions, warmup
+            lambda: fit_regression(features, dataset.d, space=pipe.approach), repetitions
         )
         inverse_ms = _median_ms(
-            lambda: inverse_predict(pipe.regression, InverseProblem(target_d, pipe.anchor)),
+            lambda: inverse_predict(pipe.regression, InverseProblem(_TIMING_TARGET_D, pipe.anchor)),
             repetitions,
-            warmup,
         )
         if pipe.approach == "latent":
-            solution = inverse_predict(pipe.regression, InverseProblem(target_d, pipe.anchor))
-            decoder_ms = _median_ms(lambda: decode(pipe.model, solution), repetitions, warmup)
+            solution = inverse_predict(pipe.regression, InverseProblem(_TIMING_TARGET_D, pipe.anchor))
+            decoder_ms = _median_ms(lambda: decode(pipe.model, solution), repetitions)
         rows.append(
             StageTiming(
                 approach=name,
@@ -268,7 +255,7 @@ def run_timing(
                 decoder_ms=decoder_ms,
             )
         )
-    return TimingTable(rows=rows, repetitions=repetitions)
+    return rows
 
 
 def _fmt(value) -> str:
@@ -283,19 +270,7 @@ def write_field_block(fh, meta: dict, values: np.ndarray) -> None:
     fh.writelines(_row(row) + "\n" for row in values)
 
 
-def write_timing_table(timing: TimingTable, path) -> None:
-    """Stage column then one column per approach; '-' marks absent stages."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage"] + [row.approach for row in timing.rows])
-        writer.writerow(["optimizer"] + [row.optimizer for row in timing.rows])
-        writer.writerow(["space_dim"] + [str(row.space_dim) for row in timing.rows])
-        for stage in TIMING_STAGES:
-            writer.writerow([stage] + [_fmt(getattr(row, f"{stage}_ms")) for row in timing.rows])
-        writer.writerow(["total"] + [_fmt(row.total_ms) for row in timing.rows])
-
-
-def export_results(result: SweepResult, out_dir, timing: TimingTable | None = None) -> list:
+def export_results(result: SweepResult, out_dir, timing: list | None = None) -> list:
     """Write the plot-ready tables into out_dir; returns the paths written.
 
     fig6_fields.csv   blocks: one meta line (approach=..,optimizer=..,d=..,
@@ -304,8 +279,9 @@ def export_results(result: SweepResult, out_dir, timing: TimingTable | None = No
     fig8_ssd.csv      aggregate rows (approach,optimizer,d,e,n_seeds,
                       ssd_median,ssd_iqr) for every non-adam tag.
     fig9_ssd.csv      the same aggregate columns for adam-tagged rows.
-    table2_timing.csv stage column then one column per approach; '-'
-                      marks stages an approach does not have.
+    table2_timing.csv stage column then one column per run_timing row;
+                      '-' marks stages an approach does not have. Without
+                      timing it holds the stage header alone.
     sweep_cells.csv   every raw cell (approach,optimizer,d,e,seed,ssd,
                       error), NaN ssd for failed cells.
     An empty result still writes every file, header-only.
@@ -338,11 +314,17 @@ def export_results(result: SweepResult, out_dir, timing: TimingTable | None = No
                      _fmt(row.ssd_median), _fmt(row.ssd_iqr)]
                 )
 
-    if timing is None:
-        with open(paths[3], "w", encoding="ascii", newline="") as fh:
-            csv.writer(fh).writerow(["stage"])
-    else:
-        write_timing_table(timing, paths[3])
+    with open(paths[3], "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        if timing is None:
+            writer.writerow(["stage"])
+        else:
+            writer.writerow(["stage"] + [row.approach for row in timing])
+            writer.writerow(["optimizer"] + [row.optimizer for row in timing])
+            writer.writerow(["space_dim"] + [str(row.space_dim) for row in timing])
+            for stage in TIMING_STAGES:
+                writer.writerow([stage] + [_fmt(getattr(row, f"{stage}_ms")) for row in timing])
+            writer.writerow(["total"] + [_fmt(row.total_ms) for row in timing])
 
     with open(paths[4], "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)

@@ -289,8 +289,7 @@ def test_criterion_7_fullspace_fails_at_high_noise(capsys, default_sweep):
 
 def test_criterion_8_fullspace_inverse_at_least_5x_slower(capsys, pipelines, full_train):
     subset = {name: pipelines[name] for name in ("fullspace", "ae", "vae")}
-    table = run_timing(subset, full_train, repetitions=100, warmup=10)
-    rows = {row.approach: row for row in table.rows}
+    rows = {row.approach: row for row in run_timing(subset, full_train, repetitions=100)}
     fullspace_ms = rows["fullspace"].inverse_ms
     ratios = {name: fullspace_ms / rows[name].inverse_ms for name in ("ae", "vae")}
     ok = all(r >= 5.0 for r in ratios.values())

@@ -3,14 +3,17 @@ fullspace and a latent regression artifact, and the exported field blocks,
 aggregate tables and raw cells of a small sweep.
 
 The digests were recorded from the writers before they shared one text
-codec, so they pin the file format byte for byte. The three sweep tables
-come from csv.writer and so end their lines in \r\n. The sweep has only
-a fullspace pipeline, so fig9_ssd.csv pins the header alone. Every input
+codec, so they pin the file format byte for byte. The sweep tables come
+from csv.writer and so end their lines in \r\n. The small sweep has only
+a fullspace pipeline and no timing, so its fig9_ssd.csv and
+table2_timing.csv pin the headers alone; a second sweep adds a copy of
+that pipeline tagged adam, so its fig9_ssd.csv pins adam rows. Every input
 is built from seeded generators, SOR (pinned in test_fields) and the
 pure-Python inverse loop, with no matrix product or least-squares fit, so
 the bytes do not depend on the BLAS build or thread count.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -49,8 +52,11 @@ def write_artifacts(root) -> dict:
     save_pipeline(pipeline("latent", dataset, 3), paths["latent.reg"])
     config = SweepConfig(noise_levels=(0.1,), test_d=(0.3, 0.5), seeds=(0, 1), keep_fields_d=(0.3,))
     export_results(run_noise_sweep(config, {"fullspace": full}, dataset), root / "sweep")
-    for name in ("fig6_fields.csv", "fig8_ssd.csv", "fig9_ssd.csv", "sweep_cells.csv"):
+    for name in ("fig6_fields.csv", "fig8_ssd.csv", "fig9_ssd.csv", "sweep_cells.csv", "table2_timing.csv"):
         paths[name] = root / "sweep" / name
+    tagged = {"fullspace": full, "adam": dataclasses.replace(full, optimizer_tag="adam")}
+    export_results(run_noise_sweep(config, tagged, dataset), root / "adam")
+    paths["adam/fig9_ssd.csv"] = root / "adam" / "fig9_ssd.csv"
     return paths
 
 
@@ -64,6 +70,8 @@ DIGESTS = {
     "fig8_ssd.csv": "a4849ae813b2b3c2badbcf95c507b78753ed56b2cf208d50c6a06c5bc7ab1d7a",
     "fig9_ssd.csv": "5c49b36d34d6e7021a09c9c6d94ac8f806a566abf1d34637bcd24a5624501637",
     "sweep_cells.csv": "e794fd740dba0b84f814ebff6e0a3720d1ff7d924ffa7da84f77a4230e899b8c",
+    "table2_timing.csv": "d89503ad8f90ca3e81aa30f0ca4d62c19745e902d92f55b30854e346aadaa8b0",
+    "adam/fig9_ssd.csv": "bc3767ef69374193bd7e2ab9885fa096ecd674d28c4de964b69d048f2b199bc8",
 }
 
 

@@ -38,7 +38,7 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
-        assert "generate" in capsys.readouterr().out
+        assert "{generate,train,invert,sweep}" in capsys.readouterr().out
 
     def test_domain_error_exits_one(self, tmp_path, capsys):
         out = tmp_path / "x.ds"
@@ -185,7 +185,6 @@ class TestSweep:
             "seeds=0,1\n"
             "keep_fields_d=0.5\n"
             "timing_reps=3\n"
-            "timing_warmup=0\n"
         )
         assert main(["sweep", "--config", str(config)]) == 0
         for name in EXPORT_NAMES:
@@ -204,6 +203,32 @@ class TestSweep:
         )
         assert main(["sweep", "--config", str(config)]) == 0
         assert (out_dir / "table2_timing.csv").read_text(encoding="ascii").splitlines() == ["stage"]
+
+    def test_timing_only_config(self, workdir, tmp_path):
+        out_dir = tmp_path / "out"
+        config = tmp_path / "timing.cfg"
+        config.write_text(
+            f"train_data={workdir / 'train.ds'}\n"
+            f"test_data={workdir / 'test.ds'}\n"
+            f"out_dir={out_dir}\n"
+            "approaches=fullspace,vae\n"
+            f"model_vae={workdir / 'vae.model'}\n"
+            "test_d=\ntiming_reps=3\n"
+        )
+        assert main(["sweep", "--config", str(config)]) == 0
+        header, *rows = csv.reader((out_dir / "table2_timing.csv").read_text(encoding="ascii").splitlines())
+        assert header == ["stage", "fullspace", "vae"]
+        by_stage = {r[0]: r[1:] for r in rows}
+        assert by_stage["space_dim"] == ["441", "4"]
+        assert float(by_stage["inverse"][0]) > 0.0
+
+    @pytest.mark.parametrize("line", ["seeds=0,x", "corrupt_field_first=ture", "timing_reps=-5"])
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys, line):
+        # the datasets do not exist: the value must fail before any file is read
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"train_data={tmp_path / 'no.ds'}\ntest_data=y\nout_dir=z\n{line}\n")
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert f"error: {config}: {line.split('=')[0]}: " in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, workdir, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -228,17 +253,3 @@ class TestSweep:
         assert main(["sweep", "--config", str(config)]) == 1
         assert "model_vae" in capsys.readouterr().err
 
-
-class TestBench:
-    def test_writes_timing_table(self, workdir, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--data", str(workdir / "train.ds"),
-                     "--vae-model", str(workdir / "vae.model"),
-                     "--reps", "3", "--warmup", "0", "--target-d", "0.5",
-                     "--out", str(out)])
-        assert code == 0
-        header, *rows = csv.reader(out.read_text(encoding="ascii").splitlines())
-        assert header == ["stage", "fullspace", "vae"]
-        by_stage = {r[0]: r[1:] for r in rows}
-        assert by_stage["space_dim"] == ["441", "4"]
-        assert float(by_stage["inverse"][0]) > 0.0

@@ -21,7 +21,6 @@ from capinv.experiments import (
     run_noise_sweep,
     run_timing,
     ssd,
-    write_timing_table,
 )
 from capinv.inverse import recover_field
 
@@ -158,15 +157,14 @@ class TestAggregateCells:
 
 class TestRunTiming:
     def test_structure_and_stage_presence(self, unit_pipelines, unit_train):
-        table = run_timing(unit_pipelines, unit_train, repetitions=5, warmup=1, target_d=0.5)
-        assert table.repetitions == 5
-        assert [r.approach for r in table.rows] == list(unit_pipelines)
-        full = table.rows[0]
+        rows = run_timing(unit_pipelines, unit_train, repetitions=5)
+        assert [r.approach for r in rows] == list(unit_pipelines)
+        full = rows[0]
         assert full.space_dim == 441
         assert full.encoder_ms is None and full.decoder_ms is None
         assert full.regression_ms > 0 and full.inverse_ms > 0
         assert full.total_ms == full.regression_ms + full.inverse_ms
-        for row in table.rows[1:]:
+        for row in rows[1:]:
             assert row.space_dim == 10
             assert all(getattr(row, f"{s}_ms") > 0 for s in TIMING_STAGES)
             assert row.total_ms == pytest.approx(sum(getattr(row, f"{s}_ms") for s in TIMING_STAGES))
@@ -174,8 +172,6 @@ class TestRunTiming:
     def test_rejects_bad_counts(self, unit_pipelines, unit_train):
         with pytest.raises(ValueError):
             run_timing(unit_pipelines, unit_train, repetitions=0)
-        with pytest.raises(ValueError):
-            run_timing(unit_pipelines, unit_train, repetitions=5, warmup=-1)
 
 
 class TestExport:
@@ -236,23 +232,17 @@ class TestExport:
         assert back[0].error == "solver, blew up"
 
     def test_timing_table_round_trip(self, tmp_path, unit_pipelines, unit_train, small_result):
-        timing = run_timing(unit_pipelines, unit_train, repetitions=3, warmup=0, target_d=0.5)
+        timing = run_timing(unit_pipelines, unit_train, repetitions=3)
         paths = export_results(small_result, tmp_path, timing=timing)
         header, *rows = csv_rows(paths[3])
         assert header == ["stage", "fullspace", "ae", "vae"]
+        assert len(rows) == 2 + len(TIMING_STAGES) + 1
         by_stage = {r[0]: r[1:] for r in rows}
+        assert by_stage["optimizer"] == ["-", "adam", "adam"]
         assert by_stage["space_dim"] == ["441", "10", "10"]
         assert by_stage["encoder"][0] == "-"
-        assert float(by_stage["inverse"][0]) == timing.rows[0].inverse_ms
-        assert float(by_stage["total"][2]) == timing.rows[2].total_ms
-
-    def test_standalone_timing_writer(self, tmp_path, unit_pipelines, unit_train):
-        timing = run_timing(unit_pipelines, unit_train, repetitions=3, warmup=0, target_d=0.5)
-        path = tmp_path / "timing.csv"
-        write_timing_table(timing, path)
-        header, *rows = csv_rows(path)
-        assert header[0] == "stage"
-        assert len(rows) == 2 + len(TIMING_STAGES) + 1
+        assert float(by_stage["inverse"][0]) == timing[0].inverse_ms
+        assert float(by_stage["total"][2]) == timing[2].total_ms
 
     def test_empty_result_writes_headers_only(self, tmp_path):
         paths = export_results(SweepResult(cells=[], groundtruth=[]), tmp_path)
