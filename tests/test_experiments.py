@@ -236,13 +236,21 @@ class TestExport:
         paths = export_results(small_result, tmp_path, timing=timing)
         header, *rows = csv_rows(paths[3])
         assert header == ["stage", "fullspace", "ae", "vae"]
-        assert len(rows) == 2 + len(TIMING_STAGES) + 1
         by_stage = {r[0]: r[1:] for r in rows}
         assert by_stage["optimizer"] == ["-", "adam", "adam"]
         assert by_stage["space_dim"] == ["441", "10", "10"]
         assert by_stage["encoder"][0] == "-"
         assert float(by_stage["inverse"][0]) == timing[0].inverse_ms
         assert float(by_stage["total"][2]) == timing[2].total_ms
+
+    def test_standalone_timing_writer(self, tmp_path, unit_pipelines, unit_train):
+        # An empty sweep result with timing writes the timing table alone.
+        timing = run_timing(unit_pipelines, unit_train, repetitions=3)
+        paths = export_results(SweepResult(cells=[], groundtruth=[]), tmp_path, timing=timing)
+        header, *rows = csv_rows(paths[3])
+        assert header[0] == "stage"
+        assert len(rows) == 2 + len(TIMING_STAGES) + 1
+        assert read_sweep_cells(paths[4]) == []
 
     def test_empty_result_writes_headers_only(self, tmp_path):
         paths = export_results(SweepResult(cells=[], groundtruth=[]), tmp_path)
