@@ -226,61 +226,61 @@ def solve_sor(
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
 
-    # The grid is held as four parity lattices, part[a][b] = v[a::2, b::2],
-    # each a contiguous view into one n*n block. Red ((i+j) even) and black
-    # nodes are two lattices each. The pass at offset (i0, j0) updates the
-    # interior of part[i0%2][j0%2], and every neighbour lies in a lattice of
-    # the other colour: node (i, j) sits at part[a][b][i//2, j//2], its
-    # up/down neighbours at rows (i-1)//2 and (i-1)//2 + 1 of part[1-a][b],
-    # its left/right ones at columns (j-1)//2 and (j-1)//2 + 1 of
-    # part[a][1-b]. Each neighbour of a pass is thus one shifted slice with
-    # unit stride along rows, fixed before the loop, where a single grid
-    # would need stride-2 views that use half of every cache line. Red
-    # passes come first and the per-node arithmetic is that of a sweep over
-    # the n x n grid, so the result is bit-identical to it.
-    block = np.zeros(n * n)
-    part = [[None, None], [None, None]]
-    start = 0
+    # The grid is held as four parity lattices in one (2, 2, w, w) block,
+    # w = (n + 1) // 2: lattice[a, b, I, J] = v[2I + a, 2J + b], padded with
+    # nodes that stay 0. Red ((i+j) even) and black nodes are two lattices
+    # each, and every neighbour of a node lies in a lattice of the other
+    # colour. In flat lattice (a, b), node k = I*w + J has its up and down
+    # neighbours at k - (1-a)*w and w further on in lattice (1-a, b), and its
+    # left and right ones at k - (1-b) and 1 further on in lattice (a, 1-b).
+    # So a pass reads five contiguous slices of one length, spanning its
+    # first to its last free node, and the nodes of that span that must not
+    # move (walls, row wrap-around, padding, interior Dirichlet nodes) get a
+    # zero update from a precomputed index list. Red passes come first and
+    # the per-node arithmetic is that of a sweep over the n x n grid, so the
+    # result is bit-identical to it.
+    w = (n + 1) // 2
+    block = np.zeros((2, 2, w, w))
+    free = np.zeros((2, 2, w, w), dtype=bool)
+    inner = ~mask.fixed
+    inner[[0, -1], :] = inner[:, [0, -1]] = False
     for a in (0, 1):
         for b in (0, 1):
             shape = ((n - a + 1) // 2, (n - b + 1) // 2)
-            part[a][b] = block[start : start + shape[0] * shape[1]].reshape(shape)
-            np.copyto(part[a][b], mask.value[a::2, b::2], where=mask.fixed[a::2, b::2])
-            start += shape[0] * shape[1]
-    # One update buffer, sized to the largest pass (offset (1, 1)) and
-    # viewed by each pass at its own shape.
-    buffer = np.empty(((n - 1) // 2) ** 2)
+            np.copyto(block[a, b, : shape[0], : shape[1]], mask.value[a::2, b::2], where=mask.fixed[a::2, b::2])
+            free[a, b, : shape[0], : shape[1]] = inner[a::2, b::2]
+    flat, free = block.reshape(2, 2, w * w), free.reshape(2, 2, w * w)
+    # One update buffer, as long as a lattice and sliced by each pass.
+    buffer = np.empty(w * w)
     passes = []
-    for i0, j0 in ((1, 1), (2, 2), (1, 2), (2, 1)):
-        fsub = (~mask.fixed[i0 : n - 1 : 2, j0 : n - 1 : 2]).astype(np.float64)
-        if fsub.size:
-            (ni, nj), a, b = fsub.shape, i0 % 2, j0 % 2
-            rows, cols = slice(i0 // 2, i0 // 2 + ni), slice(j0 // 2, j0 // 2 + nj)
-            r, c = (i0 - 1) // 2, (j0 - 1) // 2
+    for a, b in ((1, 1), (0, 0), (1, 0), (0, 1)):
+        at = np.flatnonzero(free[a, b])
+        if at.size:
+            lo, hi = int(at[0]), int(at[-1]) + 1
+            up, left, span = lo - (1 - a) * w, lo - (1 - b), hi - lo
             passes.append((
-                part[a][b][rows, cols],
-                part[1 - a][b][r : r + ni, cols],
-                part[1 - a][b][r + 1 : r + 1 + ni, cols],
-                part[a][1 - b][rows, c : c + nj],
-                part[a][1 - b][rows, c + 1 : c + 1 + nj],
-                fsub,
-                buffer[: fsub.size].reshape(fsub.shape),
+                flat[a, b, lo:hi],
+                flat[1 - a, b, up : up + span],
+                flat[1 - a, b, up + w : up + w + span],
+                flat[a, 1 - b, left : left + span],
+                flat[a, 1 - b, left + 1 : left + 1 + span],
+                np.flatnonzero(~free[a, b, lo:hi]),
+                buffer[:span],
             ))
-
     window = 20  # sweeps between the two update samples used for the rho estimate
     safety = 0.2
     updates: list[float] = []
     dmax = math.inf
     for sweep in range(1, max_sweeps + 1):
         dmax = 0.0
-        for target, up, down, left, right, fsub, buf in passes:
+        for target, up, down, left, right, hold, buf in passes:
             np.add(up, down, out=buf)
             buf += left
             buf += right
             buf *= 0.25
             buf -= target
             buf *= omega
-            buf *= fsub
+            buf[hold] = 0.0
             target += buf
             np.abs(buf, out=buf)
             dmax = max(dmax, float(buf.max()))
@@ -298,11 +298,11 @@ def solve_sor(
             residual=dmax,
             sweeps=max_sweeps,
         )
-    del passes, buffer  # free the pass masks before the output grid is allocated
+    del passes, buffer, free, inner  # free the scratch before the output grid is allocated
     values = np.empty((n, n))
     for a in (0, 1):
         for b in (0, 1):
-            values[a::2, b::2] = part[a][b]
+            values[a::2, b::2] = block[a, b, : (n - a + 1) // 2, : (n - b + 1) // 2]
     return FieldGrid(values=values)
 
 
