@@ -87,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep",
         help="run the noise sweep described by a config file",
-        epilog="config keys: train_data, test_data, out_dir (required); approaches "
-        "(comma list, default fullspace); model_<name>= and optimizer_<name>= per "
-        "latent approach; noise_levels, test_d, seeds, keep_fields_d (comma lists); "
+        epilog="config keys: train_data, out_dir (required); test_data (required unless "
+        "test_d is empty); approaches (comma list, default fullspace); model_<name>= and "
+        "optimizer_<name>= per latent approach; noise_levels, test_d, seeds, keep_fields_d (comma lists); "
         "timing_reps (0 disables timing); corrupt_field_first (true/false/yes/no/1/0).",
     )
     p.add_argument("--config", required=True, help="key=value config file (one pair per line, # comments)")
@@ -228,16 +228,23 @@ def _parse_sweep_config(path) -> dict:
             values[key] = parse(val.strip())
         except ValueError as exc:
             raise ValueError(f"{path}: {key}: {exc}") from None
-    for required in ("train_data", "test_data", "out_dir"):
-        if required not in values:
-            raise ValueError(f"{path}: missing required key {required!r}")
+    required = ["train_data", "out_dir"]
+    if values.get("test_d", experiments.SweepConfig.test_d):  # an empty test_d sweeps no cells
+        required.append("test_data")
+    for key in required:
+        if key not in values:
+            raise ValueError(f"{path}: missing required key {key!r}")
     return values
 
 
 def _cmd_sweep(args) -> int:
     cfg = _parse_sweep_config(args.config)
+    sweep_config = experiments.SweepConfig(
+        **{f.name: cfg[f.name] for f in dataclasses.fields(experiments.SweepConfig) if f.name in cfg}
+    )
     train_set = fields.load_dataset(cfg["train_data"])
-    test_set = fields.load_dataset(cfg["test_data"])
+    # Only the cells read the test set, and a timing-only sweep has none.
+    test_set = fields.load_dataset(cfg["test_data"]) if sweep_config.test_d else None
     pipelines = {}
     for name in cfg.get("approaches", ("fullspace",)):
         if name == "fullspace":
@@ -251,9 +258,6 @@ def _cmd_sweep(args) -> int:
         model = generative.load_model(cfg[model_key])
         tag = cfg.get(f"optimizer_{name}", "momentum")
         pipelines[name] = inverse.fit_pipeline("latent", train_set, model=model, optimizer_tag=tag)
-    sweep_config = experiments.SweepConfig(
-        **{f.name: cfg[f.name] for f in dataclasses.fields(experiments.SweepConfig) if f.name in cfg}
-    )
     result = experiments.run_noise_sweep(sweep_config, pipelines, test_set)
     timing = None
     if cfg.get("timing_reps") != 0:

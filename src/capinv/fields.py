@@ -228,17 +228,16 @@ def solve_sor(
 
     # The grid is held as four parity lattices in one (2, 2, w, w) block,
     # w = (n + 1) // 2: lattice[a, b, I, J] = v[2I + a, 2J + b], padded with
-    # nodes that stay 0. Red ((i+j) even) and black nodes are two lattices
-    # each, and every neighbour of a node lies in a lattice of the other
-    # colour. In flat lattice (a, b), node k = I*w + J has its up and down
-    # neighbours at k - (1-a)*w and w further on in lattice (1-a, b), and its
-    # left and right ones at k - (1-b) and 1 further on in lattice (a, 1-b).
-    # So a pass reads five contiguous slices of one length, spanning its
-    # first to its last free node, and the nodes of that span that must not
-    # move (walls, row wrap-around, padding, interior Dirichlet nodes) get a
-    # zero update from a precomputed index list. Red passes come first and
-    # the per-node arithmetic is that of a sweep over the n x n grid, so the
-    # result is bit-identical to it.
+    # nodes that stay 0. Every neighbour of a red ((i+j) even) node lies in
+    # a black lattice and vice versa. In flat lattice (a, b), node
+    # k = I*w + J has its up and down neighbours at k - (1-a)*w and w
+    # further on in lattice (1-a, b), its left and right ones at k - (1-b)
+    # and 1 further on in lattice (a, 1-b). So a pass reads five contiguous
+    # slices of one length, from its first to its last free node; the nodes
+    # in that span that must not move (walls, row wrap-around, padding,
+    # interior Dirichlet nodes) get a zero update from a precomputed index
+    # list. Red passes come first and the per-node arithmetic is that of a
+    # sweep over the n x n grid, so the result is bit-identical to it.
     w = (n + 1) // 2
     block = np.zeros((2, 2, w, w))
     free = np.zeros((2, 2, w, w), dtype=bool)
@@ -267,6 +266,7 @@ def solve_sor(
                 np.flatnonzero(~free[a, b, lo:hi]),
                 buffer[:span],
             ))
+
     window = 20  # sweeps between the two update samples used for the rho estimate
     safety = 0.2
     updates: list[float] = []

@@ -222,6 +222,29 @@ class TestSweep:
         assert by_stage["space_dim"] == ["441", "4"]
         assert float(by_stage["inverse"][0]) > 0.0
 
+    def test_timing_only_config_needs_no_test_data(self, workdir, tmp_path):
+        tables = []
+        for test_data in (f"test_data={workdir / 'test.ds'}\n", ""):
+            out_dir = tmp_path / f"out{len(tables)}"
+            config = tmp_path / "timing.cfg"
+            config.write_text(
+                f"train_data={workdir / 'train.ds'}\n{test_data}out_dir={out_dir}\n"
+                "approaches=fullspace\ntest_d=\ntiming_reps=2\n"
+            )
+            assert main(["sweep", "--config", str(config)]) == 0
+            header, *body = csv.reader((out_dir / "table2_timing.csv").read_text(encoding="ascii").splitlines())
+            space_dim = next(row for row in body if row[0] == "space_dim")
+            tables.append((header, [row[0] for row in body], space_dim))
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("test_d", ["", "test_d=0.5\n"])
+    def test_cells_need_test_data(self, workdir, tmp_path, capsys, test_d):
+        # an absent test_d means the default separations, so cells still run
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"train_data={workdir / 'train.ds'}\nout_dir={tmp_path / 'o'}\n{test_d}")
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert f"error: {config}: missing required key 'test_data'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["seeds=0,x", "corrupt_field_first=ture", "timing_reps=-5"])
     def test_bad_value_names_file_and_key(self, tmp_path, capsys, line):
         # the datasets do not exist: the value must fail before any file is read

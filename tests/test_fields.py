@@ -67,6 +67,40 @@ def random_mask(n: int, seed: int, n_interior: int = 5) -> BoundaryMask:
     return BoundaryMask(fixed=fixed, value=value)
 
 
+def reference_sor(mask: BoundaryMask) -> np.ndarray:
+    """Red-black SOR on the plain n x n grid through strided views, with the
+    per-node arithmetic, pass order and stopping rule of solve_sor."""
+    n = mask.n
+    omega = optimal_omega(n)
+    tol = 1e-6 * (float(np.max(np.abs(mask.value))) or 1.0)
+    v = np.where(mask.fixed, mask.value, 0.0)
+    passes = [(i0, j0, (~mask.fixed[i0 : n - 1 : 2, j0 : n - 1 : 2]).astype(np.float64))
+              for i0, j0 in ((1, 1), (2, 2), (1, 2), (2, 1))]
+    updates = []
+    for _ in range(100_000):
+        dmax = 0.0
+        for i0, j0, free in passes:
+            if free.size:
+                target = v[i0 : n - 1 : 2, j0 : n - 1 : 2]
+                buf = v[i0 - 1 : n - 2 : 2, j0 : n - 1 : 2] + v[i0 + 1 : n : 2, j0 : n - 1 : 2]
+                buf += v[i0 : n - 1 : 2, j0 - 1 : n - 2 : 2]
+                buf += v[i0 : n - 1 : 2, j0 + 1 : n : 2]
+                buf *= 0.25
+                buf -= target
+                buf *= omega
+                buf *= free
+                target += buf
+                dmax = max(dmax, float(np.abs(buf).max()))
+        updates.append(dmax)
+        if dmax == 0.0 or dmax < 1e-3 * tol:
+            return v
+        if len(updates) > 20 and updates[-21] > 0.0:
+            rho = min(max((dmax / updates[-21]) ** (1.0 / 20), 1e-6), 0.999999)
+            if dmax < 0.2 * tol * min(1.0, (1.0 - rho) / max(rho, 0.5)):
+                return v
+    raise AssertionError("reference sweep did not converge")
+
+
 class TestSolveSor:
     def test_matches_dense_solve_on_capacitor(self):
         mask = build_boundary_mask(CapacitorConfig(d=0.5, fine_n=21, coarse_n=21))
@@ -173,6 +207,20 @@ class TestSolveSor:
     def test_bits_pinned(self, make_mask, kwargs, digest):
         got = solve_sor(make_mask(), **kwargs).values
         assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+    def test_bytes_match_reference_sweep(self):
+        # Odd and even n, walls at random potentials and Dirichlet nodes
+        # scattered inside and packed against the walls, so the padding, the
+        # row wrap-around and held nodes at both ends of each pass all occur.
+        for n in range(3, 30):
+            for seed in range(3):
+                rng = np.random.default_rng(1000 * n + seed)
+                fixed = rng.random((n, n)) < 0.1
+                fixed[[0, -1], :] = fixed[:, [0, -1]] = True
+                fixed[[1, -2], rng.integers(0, n, 2)] = True
+                fixed[rng.integers(0, n, 2), [1, -2]] = True
+                mask = BoundaryMask(fixed=fixed, value=np.where(fixed, rng.uniform(-1, 1, (n, n)), 0.0))
+                assert solve_sor(mask).values.tobytes() == reference_sor(mask).tobytes(), (n, seed)
 
     def test_optimal_omega_value(self):
         assert optimal_omega(401) == pytest.approx(2.0 / (1.0 + np.sin(np.pi / 401)), rel=1e-15)
