@@ -1,75 +1,13 @@
-"""Capacitor field solver, generative models, and inverse field prediction."""
+"""Capacitor field solver, generative models, and inverse field prediction.
 
-from .fields import (
-    TEST_D,
-    TRAIN_D,
-    BoundaryMask,
-    CapacitorConfig,
-    ConvergenceError,
-    Dataset,
-    FieldGrid,
-    GeometryError,
-    build_boundary_mask,
-    downsample,
-    generate_dataset,
-    load_dataset,
-    save_dataset,
-    solve_sor,
-)
-from .network import (
-    DEFAULT_LEARNING_RATES,
-    Adam,
-    Mlp,
-    Momentum,
-    TrainingError,
-    backward,
-    forward,
-    make_optimizer,
-)
-from .generative import (
-    KINDS,
-    GenerativeModel,
-    GenerativeTrainConfig,
-    TrainHistory,
-    build_model,
-    decode,
-    encode,
-    kld_loss,
-    load_model,
-    rec_loss,
-    save_model,
-    train_generative,
-)
-from .inverse import (
-    SPACES,
-    InverseOptions,
-    InversePipeline,
-    InverseProblem,
-    InversionError,
-    RegressionError,
-    RegressionModel,
-    add_awgn,
-    fit_pipeline,
-    fit_regression,
-    inverse_predict,
-    load_pipeline,
-    recover_field,
-    save_pipeline,
-)
-from .experiments import (
-    EXPORT_NAMES,
-    TIMING_STAGES,
-    AggregateRow,
-    StageTiming,
-    SweepCell,
-    SweepConfig,
-    SweepResult,
-    aggregate_cells,
-    export_results,
-    read_sweep_cells,
-    run_noise_sweep,
-    run_timing,
-    ssd,
-)
+The package re-exports each module's __all__, which is the one list of
+that module's public names.
+"""
+
+from .fields import *  # noqa: F403
+from .network import *  # noqa: F403
+from .generative import *  # noqa: F403
+from .inverse import *  # noqa: F403
+from .experiments import *  # noqa: F403
 
 __version__ = "0.1.0"

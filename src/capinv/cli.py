@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +23,42 @@ _USAGE_ERRORS = (
 )
 
 
+def _defaults(*owners) -> dict:
+    """The keyword defaults of functions or dataclasses, by parameter name."""
+    return {
+        name: param.default
+        for owner in owners
+        for name, param in inspect.signature(owner).parameters.items()
+        if param.default is not param.empty
+    }
+
+
+def _library_flags(parser, *owners):
+    """An adder of flags for the keyword parameters of owners.
+
+    A flag that is left out sets nothing, so the owner's own default holds.
+    The help text shows that default, or, where it is None, says in its own
+    words what the library picks.
+    """
+    defaults = _defaults(*owners)
+
+    def flag(name, kind, text, dest=None, **kwargs):
+        if dest is None:
+            dest = name[2:].replace("-", "_")
+        else:
+            kwargs["metavar"] = name[2:].upper()  # named after the flag, not the parameter
+        if defaults[dest] is not None:
+            text = f"{text} (default {defaults[dest]})"
+        parser.add_argument(name, type=kind, dest=dest, default=argparse.SUPPRESS, help=text, **kwargs)
+
+    return flag
+
+
+def _given(options: dict, *owners) -> dict:
+    """The entries of options that set a keyword parameter of owners."""
+    return {name: options[name] for name in _defaults(*owners) if name in options}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capinv",
@@ -31,39 +68,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="solve capacitor fields and write a dataset")
     p.add_argument("--out", required=True, help="dataset file to write")
-    p.add_argument("--d-min", type=float, default=0.1, help="smallest plate separation (default 0.1)")
-    p.add_argument("--d-max", type=float, default=0.9, help="largest plate separation (default 0.9)")
-    p.add_argument("--count", type=int, default=120, help="number of evenly spaced separations (default 120)")
+    p.add_argument("--d-min", type=float, default=fields.TRAIN_D[0],
+                   help="smallest plate separation (default %(default)s)")
+    p.add_argument("--d-max", type=float, default=fields.TRAIN_D[-1],
+                   help="largest plate separation (default %(default)s)")
+    p.add_argument("--count", type=int, default=len(fields.TRAIN_D),
+                   help="number of evenly spaced separations (default %(default)s)")
     p.add_argument(
         "--test-set",
         action="store_true",
         help="ignore --d-min/--d-max/--count and build the benchmark evaluation set "
         f"(d = {', '.join(str(d) for d in fields.TEST_D)})",
     )
-    p.add_argument("--a", type=float, default=0.25, help="left plate edge (default 0.25)")
-    p.add_argument("--b", type=float, default=0.75, help="right plate edge (default 0.75)")
-    p.add_argument("--v0", type=float, default=1.0, help="plate potential magnitude (default 1.0)")
-    p.add_argument("--fine-n", type=int, default=401, help="solve resolution per side (default 401)")
-    p.add_argument("--coarse-n", type=int, default=21, help="stored resolution per side (default 21)")
-    p.add_argument("--omega", type=float, default=None, help="SOR relaxation factor (default: optimal for fine-n)")
-    p.add_argument("--tol", type=float, default=None, help="SOR stopping tolerance (default 1e-6 * v0)")
-    p.add_argument("--max-sweeps", type=int, default=100_000, help="SOR sweep budget (default 100000)")
+    flag = _library_flags(p, fields.CapacitorConfig, fields.solve_sor)
+    flag("--a", float, "left plate edge")
+    flag("--b", float, "right plate edge")
+    flag("--v0", float, "plate potential magnitude")
+    flag("--fine-n", int, "solve resolution per side")
+    flag("--coarse-n", int, "stored resolution per side")
+    flag("--omega", float, "SOR relaxation factor (default: optimal for --fine-n)")
+    flag("--tol", float, "SOR stopping tolerance (default: scaled to --v0 by the solver)")
+    flag("--max-sweeps", int, "SOR sweep budget")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="train a generative model on a dataset")
     p.add_argument("--kind", required=True, choices=generative.KINDS, help="model kind")
     p.add_argument("--data", required=True, help="training dataset (from `capinv generate`)")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--optimizer", choices=sorted(DEFAULT_LEARNING_RATES), default="momentum",
-                   help="optimizer (default momentum)")
-    p.add_argument("--lr", type=float, default=None,
-                   help="learning rate (default: 1e-3 for adam, 1e-5 for momentum)")
-    p.add_argument("--iters", type=int, default=20_000, help="training iterations (default 20000)")
-    p.add_argument("--batch", type=int, default=20, help="minibatch size (default 20)")
-    p.add_argument("--latent", type=int, default=20, help="latent width (default 20)")
-    p.add_argument("--hidden", type=int, default=200, help="hidden width (default 200)")
-    p.add_argument("--beta", type=float, default=1.0, help="divergence weight for vae (default 1.0)")
-    p.add_argument("--seed", type=int, default=0, help="training seed (default 0)")
+    flag = _library_flags(p, generative.GenerativeTrainConfig, generative.train_generative)
+    flag("--optimizer", str, "optimizer", choices=sorted(DEFAULT_LEARNING_RATES))
+    rates = ", ".join(f"{rate:g} for {name}" for name, rate in DEFAULT_LEARNING_RATES.items())
+    flag("--lr", float, f"learning rate (default: {rates})", dest="learning_rate")
+    flag("--iters", int, "training iterations", dest="max_iterations")
+    flag("--batch", int, "minibatch size", dest="minibatch_size")
+    flag("--latent", int, "latent width", dest="latent_dim")
+    flag("--hidden", int, "hidden width", dest="hidden_dim")
+    flag("--beta", float, "divergence weight for vae")
+    flag("--seed", int, "training seed")
     p.add_argument("--history", default=None,
                    help="loss history file (default: <out>.history.csv)")
     p.set_defaults(func=_cmd_train)
@@ -106,41 +147,24 @@ def _cmd_generate(args) -> int:
         if args.d_min > args.d_max:
             raise ValueError(f"--d-min {args.d_min} exceeds --d-max {args.d_max}")
         d_values = np.linspace(args.d_min, args.d_max, args.count)
-    dataset = fields.generate_dataset(
-        d_values,
-        a=args.a,
-        b=args.b,
-        v0=args.v0,
-        fine_n=args.fine_n,
-        coarse_n=args.coarse_n,
-        omega=args.omega,
-        tol=args.tol,
-        max_sweeps=args.max_sweeps,
-    )
+    dataset = fields.generate_dataset(d_values, **_given(vars(args), fields.CapacitorConfig, fields.solve_sor))
     fields.save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} fields ({dataset.grid_n}x{dataset.grid_n}) to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
+    config = generative.GenerativeTrainConfig(**_given(vars(args), generative.GenerativeTrainConfig))
     dataset = fields.load_dataset(args.data)
-    config = generative.GenerativeTrainConfig(
-        optimizer=args.optimizer,
-        learning_rate=args.lr,
-        max_iterations=args.iters,
-        minibatch_size=args.batch,
-        beta=args.beta,
-        latent_dim=args.latent,
-        hidden_dim=args.hidden,
-    )
-    model, history = generative.train_generative(args.kind, dataset.fields, config, seed=args.seed)
+    seed = _given(vars(args), generative.train_generative)  # {} or {"seed": ...}
+    model, history = generative.train_generative(args.kind, dataset.fields, config, **seed)
     generative.save_model(model, args.out)
     history_path = args.history if args.history is not None else f"{args.out}.history.csv"
     with open(history_path, "w", encoding="ascii") as fh:
         fh.write("iteration,total,rec,kld\n")
         fh.writelines(f"{i},{_row(row)}\n" for i, row in enumerate(zip(history.total, history.rec, history.kld)))
     final = history.total[-1] if len(history.total) else float("nan")
-    print(f"trained {args.kind} for {args.iters} iterations (final loss {final:.6g})")
+    print(f"trained {args.kind} for {config.max_iterations} iterations (final loss {final:.6g})")
     print(f"wrote model to {args.out} and loss history to {history_path}")
     return 0
 
@@ -195,19 +219,23 @@ def _flag(text: str) -> bool:
     return _FLAGS[text.lower()]
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"must be nonnegative, got {value}")
-    return value
+def _nonnegative(kind):
+    def parse(text: str):
+        value = kind(text)
+        if not 0 <= value < math.inf:
+            raise ValueError(f"must be finite and nonnegative, got {value}")
+        return value
+
+    return parse
 
 
 # The parser of each fixed sweep config key. A key absent from the file keeps
 # the default of the SweepConfig field or run_timing argument it feeds.
 _SWEEP_KEYS = {
     "train_data": str, "test_data": str, "out_dir": str, "approaches": _list(str.strip),
-    "noise_levels": _list(float), "test_d": _list(float), "seeds": _list(int),
-    "keep_fields_d": _list(float), "corrupt_field_first": _flag, "timing_reps": _count,
+    "noise_levels": _list(_nonnegative(float)), "test_d": _list(float),
+    "seeds": _list(_nonnegative(int)), "keep_fields_d": _list(float), "corrupt_field_first": _flag,
+    "timing_reps": _nonnegative(int),
 }
 
 
@@ -239,9 +267,7 @@ def _parse_sweep_config(path) -> dict:
 
 def _cmd_sweep(args) -> int:
     cfg = _parse_sweep_config(args.config)
-    sweep_config = experiments.SweepConfig(
-        **{f.name: cfg[f.name] for f in dataclasses.fields(experiments.SweepConfig) if f.name in cfg}
-    )
+    sweep_config = experiments.SweepConfig(**_given(cfg, experiments.SweepConfig))
     train_set = fields.load_dataset(cfg["train_data"])
     # Only the cells read the test set, and a timing-only sweep has none.
     test_set = fields.load_dataset(cfg["test_data"]) if sweep_config.test_d else None
@@ -256,7 +282,7 @@ def _cmd_sweep(args) -> int:
         if model_key not in cfg:
             raise ValueError(f"approach {name!r} needs a {model_key}= entry in the config")
         model = generative.load_model(cfg[model_key])
-        tag = cfg.get(f"optimizer_{name}", "momentum")
+        tag = cfg.get(f"optimizer_{name}", generative.GenerativeTrainConfig.optimizer)
         pipelines[name] = inverse.fit_pipeline("latent", train_set, model=model, optimizer_tag=tag)
     result = experiments.run_noise_sweep(sweep_config, pipelines, test_set)
     timing = None

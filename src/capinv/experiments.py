@@ -39,6 +39,8 @@ __all__ = [
     "run_timing",
     "export_results",
     "read_sweep_cells",
+    "EXPORT_NAMES",
+    "TIMING_STAGES",
 ]
 
 EXPORT_NAMES = (

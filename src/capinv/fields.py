@@ -349,32 +349,26 @@ class Dataset:
         return FieldGrid(values=self.fields[index].reshape(side, side).copy(), units="normalized")
 
 
-def generate_dataset(
-    d_values,
-    a: float = 0.25,
-    b: float = 0.75,
-    v0: float = 1.0,
-    fine_n: int = 401,
-    coarse_n: int = 21,
-    omega: float | None = None,
-    tol: float | None = None,
-    max_sweeps: int = 100_000,
-) -> Dataset:
+def generate_dataset(d_values, **options) -> Dataset:
     """Solve one capacitor per separation value and collect the coarse fields.
 
-    Samples are solved independently from a cold start and stored in
-    ascending d order. Solver and geometry failures are re-raised with the
-    offending d in the message. Fields are flattened row-major and divided
-    by v0, so entries lie in [-1, 1].
+    options are CapacitorConfig's geometry fields (a, b, v0, fine_n,
+    coarse_n) and solve_sor's keywords (omega, tol, max_sweeps); one left
+    out keeps its default there. Samples are solved independently from a
+    cold start and stored in ascending d order. Solver and geometry
+    failures are re-raised with the offending d in the message. Fields are
+    flattened row-major and divided by v0, so entries lie in [-1, 1].
     """
+    solver = {key: options.pop(key) for key in ("omega", "tol", "max_sweeps") if key in options}
+    coarse_n = options.get("coarse_n", CapacitorConfig.coarse_n)
+    v0 = options.get("v0", CapacitorConfig.v0)
     d_sorted = sorted(float(x) for x in d_values)
-    width = coarse_n * coarse_n
-    rows = np.empty((len(d_sorted), width), dtype=np.float64)
+    rows = np.empty((len(d_sorted), coarse_n * coarse_n), dtype=np.float64)
     for i, dv in enumerate(d_sorted):
         try:
-            config = CapacitorConfig(d=dv, a=a, b=b, v0=v0, fine_n=fine_n, coarse_n=coarse_n)
+            config = CapacitorConfig(d=dv, **options)
             mask = build_boundary_mask(config)
-            fine = solve_sor(mask, omega=omega, tol=tol, max_sweeps=max_sweeps)
+            fine = solve_sor(mask, **solver)
         except GeometryError as exc:
             raise GeometryError(f"sample d={dv!r}: {exc}") from exc
         except ConvergenceError as exc:

@@ -10,6 +10,7 @@ output coordinates and averaged over the minibatch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .network import (
     Mlp,
     TrainingError,
+    _check_learning_rate,
     backward,
     forward,
     make_optimizer,
@@ -173,8 +175,8 @@ def _vae_step(model: GenerativeModel, batch: np.ndarray, eps: np.ndarray, beta: 
 class GenerativeTrainConfig:
     """Knobs for train_model / train_generative.
 
-    learning_rate None picks the optimizer's paired default (1e-3 for
-    adam, 1e-5 for momentum).
+    learning_rate None picks the optimizer's paired rate in
+    network.DEFAULT_LEARNING_RATES.
     """
 
     optimizer: str = "momentum"
@@ -190,8 +192,10 @@ class GenerativeTrainConfig:
             raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
         if self.minibatch_size < 1:
             raise ValueError(f"minibatch_size must be positive, got {self.minibatch_size}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if self.learning_rate is not None:
+            _check_learning_rate(self.learning_rate)
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
 
 
 @dataclass

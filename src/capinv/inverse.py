@@ -123,8 +123,8 @@ def add_awgn(x, e: float, seed: int) -> np.ndarray:
 
     e = 0 returns an exact copy without consuming any randomness.
     """
-    if e < 0.0:
-        raise ValueError(f"noise variance must be nonnegative, got {e}")
+    if not (math.isfinite(e) and e >= 0.0):
+        raise ValueError(f"noise variance must be finite and nonnegative, got {e}")
     x = np.asarray(x, dtype=np.float64)
     if e == 0.0:
         return x.copy()

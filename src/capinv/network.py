@@ -11,6 +11,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -155,12 +156,16 @@ def _check_grads(params, grads) -> None:
             raise TrainingError("non-finite gradient")
 
 
+def _check_learning_rate(learning_rate: float) -> None:
+    if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
+        raise ValueError(f"learning rate must be finite and nonnegative, got {learning_rate}")
+
+
 class Momentum:
     """Classical momentum: v <- gamma*v - lr*g; p <- p + v."""
 
     def __init__(self, learning_rate: float, gamma: float = 0.9):
-        if learning_rate < 0.0:
-            raise ValueError(f"learning rate must be nonnegative, got {learning_rate}")
+        _check_learning_rate(learning_rate)
         if not (0.0 <= gamma < 1.0):
             raise ValueError(f"momentum factor must lie in [0, 1), got {gamma}")
         self.learning_rate = learning_rate
@@ -181,8 +186,7 @@ class Adam:
     """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if learning_rate < 0.0:
-            raise ValueError(f"learning rate must be nonnegative, got {learning_rate}")
+        _check_learning_rate(learning_rate)
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         if eps <= 0.0:

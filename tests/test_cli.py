@@ -2,6 +2,8 @@
 and the sweep config parser. Everything runs in-process via cli.main."""
 
 import csv
+import inspect
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from capinv import fields, generative, inverse
 from capinv.cli import main
 from capinv.experiments import EXPORT_NAMES
+from capinv.network import DEFAULT_LEARNING_RATES
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,33 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert "{generate,train,invert,sweep}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_help_names_each_library_default(self, capsys, command):
+        geometry = fields.CapacitorConfig(d=0.5)
+        training = generative.GenerativeTrainConfig()
+        shown = {
+            "generate": {
+                "--d-min": fields.TRAIN_D[0], "--d-max": fields.TRAIN_D[-1], "--count": len(fields.TRAIN_D),
+                "--a": geometry.a, "--b": geometry.b, "--v0": geometry.v0, "--fine-n": geometry.fine_n,
+                "--coarse-n": geometry.coarse_n,
+                "--max-sweeps": inspect.signature(fields.solve_sor).parameters["max_sweeps"].default,
+            },
+            "train": {
+                "--optimizer": training.optimizer, "--iters": training.max_iterations,
+                "--batch": training.minibatch_size, "--latent": training.latent_dim,
+                "--hidden": training.hidden_dim, "--beta": training.beta,
+                "--seed": inspect.signature(generative.train_generative).parameters["seed"].default,
+            },
+        }[command]
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        assert "SUPPRESS" not in text
+        for flag, value in shown.items():
+            assert re.search(rf"{flag} \S+ [^(]*\(default {re.escape(str(value))}\)", text), flag
+        if command == "train":
+            for name, rate in DEFAULT_LEARNING_RATES.items():
+                assert f"{rate:g} for {name}" in text
+
     def test_domain_error_exits_one(self, tmp_path, capsys):
         out = tmp_path / "x.ds"
         code = main(["generate", "--out", str(out), "--count", "2", "--fine-n", "401",
@@ -64,6 +94,13 @@ class TestGenerate:
     def test_test_set_flag_uses_benchmark_values(self, workdir):
         ds = fields.load_dataset(workdir / "test.ds")
         assert np.array_equal(ds.d, sorted(fields.TEST_D))
+
+    def test_left_out_flags_take_library_defaults(self, tmp_path):
+        out, want = tmp_path / "cli.ds", tmp_path / "lib.ds"
+        assert main(["generate", "--out", str(out), "--count", "2", "--fine-n", "41"]) == 0
+        d_values = np.linspace(fields.TRAIN_D[0], fields.TRAIN_D[-1], 2)
+        fields.save_dataset(fields.generate_dataset(d_values, fine_n=41), want)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_bad_range_rejected(self, tmp_path, capsys):
         code = main(["generate", "--out", str(tmp_path / "x.ds"), "--d-min", "0.9",
@@ -90,6 +127,15 @@ class TestTrain:
                 "--batch", "4", "--latent", "4", "--hidden", "12", "--seed", "3"]
         assert main(args) == 0
         assert again.read_bytes() == (workdir / "vae.model").read_bytes()
+
+    def test_left_out_flags_take_library_defaults(self, workdir, tmp_path):
+        out, want = tmp_path / "cli.model", tmp_path / "lib.model"
+        assert main(["train", "--kind", "ae", "--data", str(workdir / "train.ds"), "--out", str(out),
+                     "--iters", "30", "--batch", "4", "--latent", "3", "--hidden", "8"]) == 0
+        config = generative.GenerativeTrainConfig(max_iterations=30, minibatch_size=4, latent_dim=3, hidden_dim=8)
+        model, _ = generative.train_generative("ae", fields.load_dataset(workdir / "train.ds").fields, config)
+        generative.save_model(model, want)
+        assert out.read_bytes() == want.read_bytes()
 
 
 class TestInvert:
@@ -245,7 +291,10 @@ class TestSweep:
         assert main(["sweep", "--config", str(config)]) == 1
         assert f"error: {config}: missing required key 'test_data'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["seeds=0,x", "corrupt_field_first=ture", "timing_reps=-5"])
+    @pytest.mark.parametrize("line", [
+        "seeds=0,x", "corrupt_field_first=ture", "timing_reps=-5",
+        "noise_levels=-1", "noise_levels=0.1,nan", "noise_levels=inf", "seeds=-1",
+    ])
     def test_bad_value_names_file_and_key(self, tmp_path, capsys, line):
         # the datasets do not exist: the value must fail before any file is read
         config = tmp_path / "bad.cfg"

@@ -7,6 +7,7 @@ zero-penalty VAE must follow the trajectory of the plain autoencoder its
 mean head defines.
 """
 
+import math
 import os
 import pathlib
 import subprocess
@@ -307,8 +308,11 @@ class TestTraining:
             train_model(model, np.zeros((0, 5)), config, np.random.default_rng(0))
         with pytest.raises(ValueError):
             GenerativeTrainConfig(minibatch_size=0)
-        with pytest.raises(ValueError):
-            GenerativeTrainConfig(beta=-0.1)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                GenerativeTrainConfig(beta=bad)
+            with pytest.raises(ValueError, match="learning rate"):
+                GenerativeTrainConfig(learning_rate=bad)
 
 
 class TestSerialization:

@@ -7,6 +7,8 @@ residual itself contracts by exactly (1 - 2*step*phi.phi) per iteration,
 which pins down the loop arithmetic.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -125,8 +127,9 @@ class TestAddAwgn:
         assert np.mean(out) == pytest.approx(0.0, abs=0.01)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            add_awgn(np.zeros(3), -0.1, seed=0)
+        for e in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise variance must be finite and nonnegative"):
+                add_awgn(np.zeros(3), e, seed=0)
 
     def test_input_untouched(self):
         x = np.ones(4)

@@ -217,8 +217,11 @@ class TestOptimizers:
             make_optimizer("sgd")
 
     def test_bad_constructor_arguments(self):
-        with pytest.raises(ValueError):
-            Momentum(-1.0)
+        for rate in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning rate"):
+                Momentum(rate)
+            with pytest.raises(ValueError, match="learning rate"):
+                Adam(rate)
         with pytest.raises(ValueError):
             Momentum(0.1, gamma=1.0)
         with pytest.raises(ValueError):
