@@ -275,7 +275,7 @@ def _cmd_sweep(args) -> int:
     for name in cfg.get("approaches", ("fullspace",)):
         if name == "fullspace":
             pipelines[name] = inverse.fit_pipeline(
-                "fullspace", train_set, optimizer_tag=cfg.get("optimizer_fullspace", "-")
+                "fullspace", train_set, optimizer_tag=cfg.get("optimizer_fullspace", inverse.UNTAGGED)
             )
             continue
         model_key = f"model_{name}"

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
+    DEFAULT_LEARNING_RATES,
     Mlp,
     TrainingError,
     _check_learning_rate,
@@ -175,8 +176,9 @@ def _vae_step(model: GenerativeModel, batch: np.ndarray, eps: np.ndarray, beta: 
 class GenerativeTrainConfig:
     """Knobs for train_model / train_generative.
 
-    learning_rate None picks the optimizer's paired rate in
-    network.DEFAULT_LEARNING_RATES.
+    optimizer names a key of network.DEFAULT_LEARNING_RATES, and
+    learning_rate None picks that optimizer's paired rate there. A bad
+    value fails at construction with a message that names its field.
     """
 
     optimizer: str = "momentum"
@@ -188,6 +190,13 @@ class GenerativeTrainConfig:
     hidden_dim: int = 200
 
     def __post_init__(self) -> None:
+        if self.optimizer not in DEFAULT_LEARNING_RATES:
+            raise ValueError(
+                f"optimizer must be one of {sorted(DEFAULT_LEARNING_RATES)}, got {self.optimizer!r}"
+            )
+        for name in ("latent_dim", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
         if self.minibatch_size < 1:

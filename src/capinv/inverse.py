@@ -28,6 +28,7 @@ __all__ = [
     "RegressionError",
     "InversionError",
     "SPACES",
+    "UNTAGGED",
     "RegressionModel",
     "InverseOptions",
     "InverseProblem",
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 SPACES = ("fullspace", "latent")
+# The optimizer_tag of a pipeline that names no training optimizer, such as
+# every fullspace fit; .reg headers and sweep exports write it as is.
+UNTAGGED = "-"
 
 
 class RegressionError(ValueError):
@@ -231,7 +235,7 @@ class InversePipeline:
     anchor_field: np.ndarray
     grid_n: int
     model: GenerativeModel | None = None
-    optimizer_tag: str = "-"
+    optimizer_tag: str = UNTAGGED
 
     def __post_init__(self) -> None:
         if self.approach not in SPACES:
@@ -258,7 +262,7 @@ def fit_pipeline(
     approach: str,
     dataset: Dataset,
     model: GenerativeModel | None = None,
-    optimizer_tag: str = "-",
+    optimizer_tag: str = UNTAGGED,
 ) -> InversePipeline:
     """Fit the affine regression for one approach on a training dataset.
 
@@ -353,5 +357,5 @@ def load_pipeline(path, model: GenerativeModel | None = None) -> InversePipeline
             anchor_field=lines.vector("anchor_field"),
             grid_n=head["grid"],
             model=model,
-            optimizer_tag=head.get("optimizer", "-"),
+            optimizer_tag=head.get("optimizer", UNTAGGED),
         )

@@ -3,6 +3,13 @@
 A file is a sequence of lines: `key=value` headers, `tag count` lines and
 rows of floats written with repr and joined by commas, so that a
 save/load round trip is bit exact. Readers skip blank lines.
+
+A block of float rows is parsed by one np.loadtxt call, whose C reader
+rounds each value with the routine float() uses, so the array has the bits
+float() gives. A block the C reader rejects, returns in another shape or
+might read differently from float() is parsed again row by row with
+float(). So every file loads to the same arrays, and fails with the same
+message, as a float() parse of each row.
 """
 
 from __future__ import annotations
@@ -26,16 +33,36 @@ def _vector(tag: str, values) -> str:
     return f"{tag} {len(values)}\n{_row(values)}\n"
 
 
+# The C reader strips these ASCII separators around a value as whitespace,
+# and float() rejects them; they are the only ASCII characters the two read
+# differently.
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _floats(line: str, width: int, what: str) -> list:
+    """One row of exactly width floats, as float() parses them."""
+    parts = line.split(",")
+    if len(parts) != width:
+        raise ValueError(f"{what} has {len(parts)} values, expected {width}")
+    try:
+        return list(map(float, parts))
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _reader(fh, noun: str) -> SimpleNamespace:
     """Parsers over the non-blank lines of an open file, one line ahead.
 
     take(what) returns the next line; header(tag, types, sep) parses a
-    header into its items, converting those named in types; floats(width,
-    what) parses one row, rows(count, width, what) count rows into an
-    array and vector(tag) a `tag count` line and its row; at_end() tells
-    whether the file is used up. They are closures, not methods, so that
-    tracers wrapping the public methods of capinv classes count parsing in
-    the caller's span.
+    header into its items, converting those named in types; rows(count,
+    width, what) parses the next count lines into a (count, width) array
+    and vector(tag) a `tag count` line and its row; at_end() tells whether
+    the file is used up. rows and vector hold the lines of one block, not
+    the file, and hand them to np.loadtxt in one call. When that call fails
+    or its result is out of shape, the same lines are parsed one by one with
+    float(), so a bad block fails on its first bad row, with that row's
+    message. They are closures, not methods, so that tracers wrapping the
+    public methods of capinv classes count parsing in the caller's span.
     """
     stream = (line.rstrip("\n") for line in fh if not line.isspace())
     ahead = next(stream, None)
@@ -60,29 +87,35 @@ def _reader(fh, noun: str) -> SimpleNamespace:
         except (KeyError, ValueError) as exc:
             raise ValueError(f"malformed {noun} header {line!r}") from exc
 
-    def floats(width, what):
-        parts = take(what).split(",")
-        if len(parts) != width:
-            raise ValueError(f"{what} has {len(parts)} values, expected {width}")
-        try:
-            return list(map(float, parts))
-        except ValueError as exc:
-            raise ValueError(f"{what}: {exc}") from None
-
-    def rows(count, width, what):
+    def block(count, width, name):
+        """count rows of width floats; name(i) is row i's name in errors."""
+        lines = []
+        while len(lines) < count and ahead is not None:
+            lines.append(take(""))
+        if lines and len(lines) == count and not any(sep in line for line in lines for sep in _SEPARATORS):
+            try:
+                out = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if out.shape == (count, width):
+                    return out
         out = np.empty((count, width))
         for i in range(count):
-            out[i] = floats(width, f"{what} {i}")
+            out[i] = _floats(lines[i] if i < len(lines) else take(name(i)), width, name(i))
         return out
+
+    def rows(count, width, what):
+        return block(count, width, lambda i: f"{what} {i}")
 
     def vector(tag):
         line = take(f"{tag} line")
         name, _, count = line.partition(" ")
         if name != tag or not count.isdigit():
             raise ValueError(f"expected '{tag} <count>', got {line[:80]!r}")
-        return np.asarray(floats(int(count), f"{tag} row"))
+        return block(1, int(count), lambda i: f"{tag} row")[0]
 
-    return SimpleNamespace(take=take, header=header, floats=floats, rows=rows, vector=vector,
+    return SimpleNamespace(take=take, header=header, rows=rows, vector=vector,
                            at_end=lambda: ahead is None)
 
 

@@ -137,6 +137,13 @@ class TestTrain:
         generative.save_model(model, want)
         assert out.read_bytes() == want.read_bytes()
 
+    def test_bad_config_field_fails_before_training(self, workdir, tmp_path, capsys):
+        out = tmp_path / "x.model"
+        assert main(["train", "--kind", "ae", "--data", str(workdir / "train.ds"), "--out", str(out),
+                     "--latent", "0"]) == 1
+        assert "error: latent_dim must be positive, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInvert:
     def test_fit_on_the_fly_and_reuse_artifact(self, workdir, tmp_path):

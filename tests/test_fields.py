@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,12 @@ from capinv.fields import (
     save_dataset,
     solve_sor,
 )
+
+
+# Floats whose text form is hardest to read back bit for bit: signed zero,
+# the smallest subnormal and normal, the largest finite value, and values
+# repr writes in exponent or shortest form.
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-05, 1e16, 0.1]
 
 
 def dense_solve(mask: BoundaryMask) -> np.ndarray:
@@ -380,6 +388,57 @@ class TestDataset:
         path.write_text("grid=2,count=1,v0=1.0\n0.5,0,nan,0,0\n")
         with pytest.raises(ValueError, match=r"bad\.csv: d and fields must be finite"):
             load_dataset(path)
+
+    def test_round_trip_keeps_the_bits_of_edge_values(self, tmp_path):
+        values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+        ds = fields.Dataset(grid_n=3, v0=0.1, d=values, fields=[np.roll(values, k)[:9] for k in range(len(values))])
+        path = tmp_path / "edge.ds"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert back.d.tobytes() == ds.d.tobytes()
+        assert back.fields.tobytes() == ds.fields.tobytes()
+
+    def test_values_only_float_reads_load_as_float_reads_them(self, tmp_path):
+        # The C reader rejects the underscore; the block is then read row by
+        # row with float(), which takes it and the padded values.
+        path = tmp_path / "odd.ds"
+        path.write_text("grid=2,count=2,v0=1.0\n0.5,1_0, 0.25 ,0,0\n0.6,\t-2e-3,0,0,1\n")
+        back = load_dataset(path)
+        assert back.d.tolist() == [0.5, 0.6]
+        assert back.fields.tolist() == [[10.0, 0.25, 0.0, 0.0], [-0.002, 0.0, 0.0, 1.0]]
+
+    @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_information_separators_are_not_whitespace(self, tmp_path, separator):
+        # np.loadtxt strips these around a value, float() rejects them.
+        path = tmp_path / "sep.ds"
+        path.write_text(f"grid=2,count=2,v0=1.0\n0.5,0,0,0,0\n0.6,0,{separator}0.25,0,0\n")
+        message = f"record 1: could not convert string to float: {separator + '0.25'!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+
+    def test_bad_block_fails_on_its_first_bad_row(self, tmp_path):
+        path = tmp_path / "bad.ds"
+        for text, message in [
+            ("grid=2,count=3,v0=1.0\n0.5,0,abc,0,0\n", "record 0: could not convert string to float: 'abc'"),
+            ("grid=2,count=3,v0=1.0\n0.5,0,0,0,0\n", "dataset ends before the record 1"),
+            ("grid=2,count=2,v0=1.0\n0.5,0,0,0\n0.6,0,0,0\n", "record 0 has 4 values, expected 5"),
+            ("grid=2,count=2,v0=1.0\n0.5,0,0,0,0\n0.6,0,0,0\n", "record 1 has 4 values, expected 5"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(f"bad.ds: {message}")):
+                load_dataset(path)
+
+    def test_empty_dataset_loads_without_warnings(self, tmp_path):
+        path = tmp_path / "empty.ds"
+        path.write_text("grid=2,count=0,v0=1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_dataset(path)
+            assert len(back) == 0
+            assert back.fields.shape == (0, 4)
+            path.write_text("grid=2,count=0,v0=1.0\n0.5,0,0,0,0\n")
+            with pytest.raises(ValueError, match="unexpected data after the dataset: '0.5,0,0,0,0'"):
+                load_dataset(path)
 
     def test_default_parameter_grids(self):
         assert len(fields.TRAIN_D) == 120

@@ -12,6 +12,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,12 @@ class TestTraining:
             with pytest.raises(ValueError, match="learning rate"):
                 GenerativeTrainConfig(learning_rate=bad)
 
+    @pytest.mark.parametrize("field, bad", [("latent_dim", 0), ("latent_dim", -1), ("hidden_dim", 0),
+                                            ("optimizer", "sgd")])
+    def test_config_names_a_bad_field(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            GenerativeTrainConfig(**{field: bad})
+
 
 class TestSerialization:
     @pytest.mark.parametrize("kind", KINDS)
@@ -350,6 +357,47 @@ class TestSerialization:
         for text in bad_files.values():
             path.write_text("".join(text))
             with pytest.raises(ValueError, match=r"bad\.model: "):
+                load_model(path)
+
+
+    def test_round_trip_keeps_the_bits_of_edge_values(self, tmp_path):
+        edge = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-05, 1e16, 0.1]
+        model = build_model("vae", 7, 5, 2, np.random.default_rng(3))
+        arrays = model.encoder.weights + model.encoder.biases + model.decoder.weights + model.decoder.biases
+        for k, a in enumerate(arrays):
+            values = np.roll(edge + [-v for v in edge], k)
+            a.flat[: min(a.size, len(values))] = values[: a.size]
+        path = tmp_path / "edge.model"
+        save_model(model, path)
+        back = load_model(path)
+        for a, b in zip(arrays, back.encoder.weights + back.encoder.biases + back.decoder.weights + back.decoder.biases):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_values_only_float_reads_load_as_float_reads_them(self, tmp_path):
+        # The C reader rejects the underscore; the block is then read row by
+        # row with float(), which takes it and the padded value.
+        model = build_model("ae", 4, 3, 2, np.random.default_rng(0))
+        path = tmp_path / "odd.model"
+        save_model(model, path)
+        good = path.read_text().splitlines(keepends=True)
+        assert good[2] == "weights 4 3\n"
+        parts = good[4].split(",")
+        path.write_text("".join([*good[:4], ",".join(["1_0", f"  {parts[1]}\t", parts[2]]), *good[5:]]))
+        back = load_model(path)
+        want = model.encoder.weights[0].copy()
+        want[1, 0] = 10.0
+        assert back.encoder.weights[0].tobytes() == want.tobytes()
+
+    def test_zero_row_block_reads_without_warnings(self, tmp_path):
+        path = tmp_path / "zero.model"
+        save_model(build_model("ae", 4, 3, 2, np.random.default_rng(0)), path)
+        good = path.read_text().splitlines(keepends=True)
+        assert good[7] == "biases 3\n"
+        path.write_text("".join([good[0], "mlp layers=0:3:2 activations=tanh:linear\n", "weights 0 3\n", *good[7:]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero.model: decoder output width does not match encoder input width"):
                 load_model(path)
 
 
