@@ -359,7 +359,6 @@ class TestSerialization:
             with pytest.raises(ValueError, match=r"bad\.model: "):
                 load_model(path)
 
-
     def test_round_trip_keeps_the_bits_of_edge_values(self, tmp_path):
         edge = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-05, 1e16, 0.1]
         model = build_model("vae", 7, 5, 2, np.random.default_rng(3))
