@@ -18,7 +18,6 @@ import numpy as np
 from .fields import Dataset, FieldGrid, TEST_D
 from .generative import decode, encode
 from .inverse import (
-    InverseProblem,
     InversionError,
     RegressionError,
     fit_regression,
@@ -239,12 +238,9 @@ def run_timing(pipelines: dict, dataset: Dataset, repetitions: int = 100) -> lis
         regression_ms = _median_ms(
             lambda: fit_regression(features, dataset.d, space=pipe.approach), repetitions
         )
-        inverse_ms = _median_ms(
-            lambda: inverse_predict(pipe.regression, InverseProblem(_TIMING_TARGET_D, pipe.anchor)),
-            repetitions,
-        )
+        inverse_ms = _median_ms(lambda: inverse_predict(pipe.regression, _TIMING_TARGET_D, pipe.anchor), repetitions)
         if pipe.approach == "latent":
-            solution = inverse_predict(pipe.regression, InverseProblem(_TIMING_TARGET_D, pipe.anchor))
+            solution = inverse_predict(pipe.regression, _TIMING_TARGET_D, pipe.anchor)
             decoder_ms = _median_ms(lambda: decode(pipe.model, solution), repetitions)
         rows.append(
             StageTiming(

@@ -76,8 +76,6 @@ class GenerativeModel:
 
 def build_model(kind: str, input_dim: int, hidden_dim: int, latent_dim: int, rng) -> GenerativeModel:
     """Fresh model with Glorot-uniform weights drawn from rng, encoder first."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown model kind {kind!r}, expected one of {KINDS}")
     head = latent_dim if kind == "ae" else 2 * latent_dim
     encoder = Mlp.init((input_dim, hidden_dim, head), ("tanh", "linear"), rng)
     decoder = Mlp.init((latent_dim, hidden_dim, input_dim), ("tanh", "tanh"), rng)

@@ -31,7 +31,6 @@ __all__ = [
     "UNTAGGED",
     "RegressionModel",
     "InverseOptions",
-    "InverseProblem",
     "InversePipeline",
     "fit_regression",
     "add_awgn",
@@ -150,47 +149,37 @@ class InverseOptions:
             raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
 
 
-@dataclass
-class InverseProblem:
-    target_d: float
-    initial_estimate: np.ndarray
-    options: InverseOptions = InverseOptions()
+def inverse_predict(
+    model: RegressionModel, target_d: float, initial_estimate, options: InverseOptions = InverseOptions()
+) -> np.ndarray:
+    """Gradient descent on (x.phi + c - target_d)^2 from the initial estimate.
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.target_d <= 1.0):
-            raise ValueError(f"target separation must lie in [0, 1], got {self.target_d}")
-        self.initial_estimate = np.asarray(self.initial_estimate, dtype=np.float64)
-        if self.initial_estimate.ndim != 1:
-            raise ValueError("initial estimate must be a 1-D vector")
-        if not np.all(np.isfinite(self.initial_estimate)):
-            raise ValueError("initial estimate has non-finite entries")
-
-
-def inverse_predict(model: RegressionModel, problem: InverseProblem) -> np.ndarray:
-    """Gradient descent on (x.phi + c - target)^2 from the initial estimate.
-
-    Stops once |x.phi + c - target| < residual_tol; an initial estimate
-    that already satisfies the target is returned unchanged. Raises
-    InversionError carrying the final residual when max_iterations updates
-    are not enough, and immediately when phi is all zero while the
+    target_d must lie in [0, 1] and the estimate must be finite and shaped
+    like phi. Stops once |x.phi + c - target_d| < residual_tol; an initial
+    estimate that already satisfies the target is returned as a copy.
+    Raises InversionError carrying the final residual when max_iterations
+    updates are not enough, and immediately when phi is all zero while the
     intercept misses the target (no update can change the prediction).
     """
-    x_arr = problem.initial_estimate
+    if not (0.0 <= target_d <= 1.0):
+        raise ValueError(f"target separation must lie in [0, 1], got {target_d}")
+    x_arr = np.asarray(initial_estimate, dtype=np.float64)
     if x_arr.shape != model.phi.shape:
         raise ValueError(f"estimate shape {x_arr.shape} does not match coefficients {model.phi.shape}")
-    opts = problem.options
+    if not np.all(np.isfinite(x_arr)):
+        raise ValueError("initial estimate has non-finite entries")
     phi = [float(p) for p in model.phi]
     x = [float(t) for t in x_arr]
     pp = 0.0
     for p in phi:
         pp += p * p
-    offset = model.intercept - problem.target_d
+    offset = model.intercept - target_d
     if pp == 0.0:
-        if abs(offset) < opts.residual_tol:
+        if abs(offset) < options.residual_tol:
             return x_arr.copy()
         raise InversionError(
             f"infeasible: zero coefficient vector and intercept {model.intercept!r} "
-            f"cannot reach target {problem.target_d!r}",
+            f"cannot reach target {target_d!r}",
             residual=abs(offset),
             iterations=0,
         )
@@ -200,8 +189,8 @@ def inverse_predict(model: RegressionModel, problem: InverseProblem) -> np.ndarr
     for xi, p in zip(x, phi):
         r += xi * p
     iterations = 0
-    while abs(r) >= opts.residual_tol:
-        if iterations >= opts.max_iterations:
+    while abs(r) >= options.residual_tol:
+        if iterations >= options.max_iterations:
             raise InversionError(
                 f"no convergence after {iterations} iterations (|residual| = {abs(r):.3e})",
                 residual=abs(r),
@@ -226,9 +215,9 @@ class InversePipeline:
     latent. anchor_field keeps the underlying field either way so noise
     can alternatively be applied before encoding. Construction checks
     every width against grid_n and phi, and a latent model's against both.
+    The approach is the regression's search space.
     """
 
-    approach: str
     regression: RegressionModel
     anchor_d: float
     anchor: np.ndarray
@@ -237,9 +226,11 @@ class InversePipeline:
     model: GenerativeModel | None = None
     optimizer_tag: str = UNTAGGED
 
+    @property
+    def approach(self) -> str:
+        return self.regression.space
+
     def __post_init__(self) -> None:
-        if self.approach not in SPACES:
-            raise ValueError(f"unknown approach {self.approach!r}, expected one of {SPACES}")
         self.anchor = np.asarray(self.anchor, dtype=np.float64)
         self.anchor_field = np.asarray(self.anchor_field, dtype=np.float64)
         cells = self.grid_n * self.grid_n
@@ -289,7 +280,6 @@ def fit_pipeline(
         anchor = features[anchor_idx].copy()
     regression = fit_regression(features, dataset.d, space=approach)
     return InversePipeline(
-        approach=approach,
         regression=regression,
         anchor_d=float(dataset.d[anchor_idx]),
         anchor=anchor,
@@ -322,7 +312,7 @@ def recover_field(
         start = encode(pipeline.model, add_awgn(pipeline.anchor_field, noise_e, seed))
     else:
         start = add_awgn(pipeline.anchor, noise_e, seed)
-    values = inverse_predict(pipeline.regression, InverseProblem(target_d, start))
+    values = inverse_predict(pipeline.regression, target_d, start)
     if latent:
         values = decode(pipeline.model, values)
     side = pipeline.grid_n
@@ -350,7 +340,6 @@ def load_pipeline(path, model: GenerativeModel | None = None) -> InversePipeline
         scalar = {key: lines.header("", {key: float})[key] for key in ("intercept", "fit_residual", "anchor_d")}
         phi = lines.vector("phi")
         return InversePipeline(
-            approach=head["space"],
             regression=RegressionModel(head["space"], phi, scalar["intercept"], scalar["fit_residual"]),
             anchor_d=scalar["anchor_d"],
             anchor=lines.vector("anchor"),

@@ -77,10 +77,6 @@ class Mlp:
     def layer_sizes(self) -> tuple:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
 
-    @property
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     @classmethod
     def init(cls, layer_sizes, activations, rng) -> "Mlp":
         """Glorot-uniform weights, limit sqrt(6/(fan_in+fan_out)); zero biases."""
@@ -164,12 +160,11 @@ def _check_learning_rate(learning_rate: float) -> None:
 class Momentum:
     """Classical momentum: v <- gamma*v - lr*g; p <- p + v."""
 
-    def __init__(self, learning_rate: float, gamma: float = 0.9):
+    gamma = 0.9
+
+    def __init__(self, learning_rate: float):
         _check_learning_rate(learning_rate)
-        if not (0.0 <= gamma < 1.0):
-            raise ValueError(f"momentum factor must lie in [0, 1), got {gamma}")
         self.learning_rate = learning_rate
-        self.gamma = gamma
         self._velocity = None
 
     def step(self, params, grads) -> None:
@@ -183,18 +178,15 @@ class Momentum:
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with bias correction."""
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, learning_rate: float):
         _check_learning_rate(learning_rate)
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = None
         self._v = None
         self._t = 0

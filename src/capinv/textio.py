@@ -30,6 +30,10 @@ def _header(tag: str, fields: dict, sep: str = " ") -> str:
 
 
 def _vector(tag: str, values) -> str:
+    """`tag count` and the values' row. An empty row would be a blank line,
+    which readers skip, so an empty vector is refused."""
+    if len(values) == 0:
+        raise ValueError(f"cannot write the empty vector {tag!r}: its row would be a blank line")
     return f"{tag} {len(values)}\n{_row(values)}\n"
 
 

@@ -25,7 +25,6 @@ from capinv import (
     CapacitorConfig,
     GenerativeTrainConfig,
     InverseOptions,
-    InverseProblem,
     RegressionModel,
     SweepConfig,
     aggregate_cells,
@@ -164,7 +163,7 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
     for trial in range(100):
         kind = "ae" if trial % 2 == 0 else "vae"
         model = build_model(kind, 5, 4, 2, rng)
-        n_params = model.encoder.parameter_count + model.decoder.parameter_count
+        n_params = sum(p.size for net in (model.encoder, model.decoder) for p in net.weights + net.biases)
         assert n_params <= 100
         batch = np.tanh(rng.normal(size=(2, 5)))
         eps = rng.standard_normal((2, 2))
@@ -229,8 +228,7 @@ def test_criterion_4_inverse_matches_projection_oracle(capsys):
         model = RegressionModel(space="latent", phi=phi, intercept=intercept, fit_residual=0.0)
         start_vec = rng.normal(size=dim)
         target = float(rng.uniform(0.0, 1.0))
-        problem = InverseProblem(target_d=target, initial_estimate=start_vec, options=InverseOptions())
-        solved = inverse_predict(model, problem)
+        solved = inverse_predict(model, target, start_vec, InverseOptions())
         pp = float(phi @ phi)
         projected = start_vec + phi * (target - start_vec @ phi - intercept) / pp
         worst_gap = max(worst_gap, float(np.max(np.abs(solved - projected))))

@@ -30,7 +30,6 @@ def pipeline(approach, dataset, width):
     regression = RegressionModel(space=approach, phi=rng.normal(size=width), intercept=0.25, fit_residual=1e-3)
     anchor = dataset.fields[1] if approach == "fullspace" else rng.normal(size=width)
     return InversePipeline(
-        approach=approach,
         regression=regression,
         anchor_d=float(dataset.d[1]),
         anchor=anchor,

@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -29,6 +33,23 @@ from capinv.fields import (
 # the smallest subnormal and normal, the largest finite value, and values
 # repr writes in exponent or shortest form.
 EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-05, 1e16, 0.1]
+
+
+# Solves a small dataset and writes its raw bytes, after checking that the
+# dispatch targets named in NPY_DISABLE_CPU_FEATURES are really off.
+_SIMD_PATH_SCRIPT = """
+import os, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+from capinv import fields
+still_on = [t for t in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if __cpu_features__.get(t)]
+if still_on:
+    sys.exit(f"dispatch targets still enabled: {still_on}")
+ds = fields.generate_dataset([0.3, 0.6], fine_n=41)
+sys.stdout.buffer.write(ds.d.tobytes() + ds.fields.tobytes())
+"""
 
 
 def dense_solve(mask: BoundaryMask) -> np.ndarray:
@@ -439,6 +460,26 @@ class TestDataset:
             path.write_text("grid=2,count=0,v0=1.0\n0.5,0,0,0,0\n")
             with pytest.raises(ValueError, match="unexpected data after the dataset: '0.5,0,0,0,0'"):
                 load_dataset(path)
+
+    def test_bits_do_not_depend_on_numpy_simd_path(self):
+        # SOR uses only elementwise add, subtract, multiply and abs, which
+        # round the same at every SIMD width, so a dataset solved with
+        # numpy's dispatch targets turned off has the same bytes.
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        targets = [t for t in getattr(umath, "__cpu_dispatch__", []) if umath.__cpu_features__.get(t)]
+        if not targets:
+            pytest.skip("numpy has no dispatch target enabled on this CPU")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", _SIMD_PATH_SCRIPT], env=env, capture_output=True, check=True, timeout=120
+        ).stdout
+        ds = generate_dataset([0.3, 0.6], fine_n=41)
+        assert out == ds.d.tobytes() + ds.fields.tobytes()
 
     def test_default_parameter_grids(self):
         assert len(fields.TRAIN_D) == 120

@@ -7,6 +7,7 @@ residual itself contracts by exactly (1 - 2*step*phi.phi) per iteration,
 which pins down the loop arithmetic.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from capinv import fields, generative
 from capinv.inverse import (
     InverseOptions,
     InversePipeline,
-    InverseProblem,
     InversionError,
     RegressionError,
     RegressionModel,
@@ -148,7 +148,7 @@ class TestInversePredict:
             target = float(rng.uniform(0, 1))
             x0 = rng.normal(size=dim)
             model = RegressionModel(space="latent", phi=phi, intercept=intercept, fit_residual=0.0)
-            got = inverse_predict(model, InverseProblem(target, x0))
+            got = inverse_predict(model, target, x0)
             want = projection(phi, intercept, target, x0)
             worst = max(worst, float(np.max(np.abs(got - want))))
             assert abs(got @ phi + intercept - target) < 1e-8
@@ -159,7 +159,7 @@ class TestInversePredict:
         phi = rng.normal(size=10)
         model = RegressionModel(space="latent", phi=phi, intercept=0.1, fit_residual=0.0)
         options = InverseOptions(max_iterations=1)
-        got = inverse_predict(model, InverseProblem(0.6, rng.normal(size=10), options))
+        got = inverse_predict(model, 0.6, rng.normal(size=10), options)
         assert abs(got @ phi + 0.1 - 0.6) < 1e-8
 
     def test_zero_iterations_fail_with_the_start_residual(self):
@@ -168,7 +168,7 @@ class TestInversePredict:
         model = RegressionModel(space="latent", phi=phi, intercept=0.0, fit_residual=0.0)
         x0 = np.array([0.5, -0.5, 1.0])
         with pytest.raises(InversionError) as err:
-            inverse_predict(model, InverseProblem(0.75, x0, InverseOptions(max_iterations=0)))
+            inverse_predict(model, 0.75, x0, InverseOptions(max_iterations=0))
         assert err.value.iterations == 0
         assert err.value.residual == abs(x0 @ phi - 0.75)
 
@@ -176,28 +176,28 @@ class TestInversePredict:
         phi = np.array([1.0, 0.0])
         model = RegressionModel(space="latent", phi=phi, intercept=0.0, fit_residual=0.0)
         x0 = np.array([0.5, 3.0])
-        got = inverse_predict(model, InverseProblem(0.5, x0))
+        got = inverse_predict(model, 0.5, x0)
         assert np.array_equal(got, x0)
         assert got is not x0
 
     def test_zero_phi_infeasible_unless_intercept_matches(self):
         model = RegressionModel(space="latent", phi=np.zeros(3), intercept=0.5, fit_residual=0.0)
         x0 = np.array([1.0, 2.0, 3.0])
-        got = inverse_predict(model, InverseProblem(0.5, x0))
+        got = inverse_predict(model, 0.5, x0)
         assert np.array_equal(got, x0)
         with pytest.raises(InversionError, match="infeasible"):
-            inverse_predict(model, InverseProblem(0.9, x0))
+            inverse_predict(model, 0.9, x0)
 
     def test_validation(self):
         model = RegressionModel(space="latent", phi=np.ones(2), intercept=0.0, fit_residual=0.0)
         with pytest.raises(ValueError):
-            InverseProblem(1.5, np.zeros(2))
+            inverse_predict(model, 1.5, np.zeros(2))
         with pytest.raises(ValueError):
-            InverseProblem(0.5, np.array([np.nan, 0.0]))
+            inverse_predict(model, 0.5, np.array([np.nan, 0.0]))
         with pytest.raises(ValueError):
-            InverseProblem(0.5, np.zeros((2, 2)))
+            inverse_predict(model, 0.5, np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            inverse_predict(model, InverseProblem(0.5, np.zeros(3)))
+            inverse_predict(model, 0.5, np.zeros(3))
         with pytest.raises(ValueError):
             InverseOptions(residual_tol=0.0)
 
@@ -251,7 +251,7 @@ class TestPipeline:
         reg = pipe.regression
         grid = recover_field(pipe, 0.5, 0.3, seed=7)
         start = add_awgn(pipe.anchor, 0.3, seed=7)
-        solution = inverse_predict(reg, InverseProblem(0.5, start))
+        solution = inverse_predict(reg, 0.5, start)
         want = generative.decode(pipe.model, solution).reshape(21, 21)
         assert np.allclose(grid.values, want, atol=1e-12)
 
@@ -261,7 +261,7 @@ class TestPipeline:
         grid = recover_field(pipe, 0.5, 0.3, seed=7, corrupt_field_first=True)
         noisy = add_awgn(pipe.anchor_field, 0.3, seed=7)
         start = generative.encode(pipe.model, noisy)
-        solution = inverse_predict(pipe.regression, InverseProblem(0.5, start))
+        solution = inverse_predict(pipe.regression, 0.5, start)
         want = generative.decode(pipe.model, solution).reshape(21, 21)
         assert np.allclose(grid.values, want, atol=1e-12)
         # and it is a different start than corrupting the code directly
@@ -282,7 +282,7 @@ class TestPipeline:
     def test_recover_without_model_fails(self, unit_train):
         pipe = fit_pipeline("fullspace", unit_train)
         broken = InversePipeline(
-            approach="latent", regression=pipe.regression, anchor_d=pipe.anchor_d,
+            regression=dataclasses.replace(pipe.regression, space="latent"), anchor_d=pipe.anchor_d,
             anchor=pipe.anchor, anchor_field=pipe.anchor_field, grid_n=pipe.grid_n,
         )
         with pytest.raises(ValueError):
@@ -295,6 +295,15 @@ class TestPipeline:
 
 
 class TestPipelineSerialization:
+    def test_empty_vector_is_refused(self, tmp_path):
+        # A blank row line would read back as the next line's row.
+        empty = InversePipeline(
+            regression=RegressionModel(space="latent", phi=np.zeros(0), intercept=0.5, fit_residual=0.0),
+            anchor_d=0.5, anchor=np.zeros(0), anchor_field=np.zeros(4), grid_n=2,
+        )
+        with pytest.raises(ValueError, match="empty vector 'phi'"):
+            save_pipeline(empty, tmp_path / "empty.reg")
+
     def test_round_trip_is_bit_exact(self, tmp_path, unit_train, unit_vae):
         model, _ = unit_vae
         pipe = fit_pipeline("latent", unit_train, model=model, optimizer_tag="adam")
