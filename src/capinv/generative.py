@@ -26,7 +26,7 @@ from .network import (
     minibatch_stream,
     single_blas_thread,
 )
-from .textio import _header, _reading, _row, _vector
+from .textio import _header, _reading, _row, _vector, _writing
 
 __all__ = [
     "KINDS",
@@ -290,7 +290,7 @@ def _read_mlp(lines) -> Mlp:
 def save_model(model: GenerativeModel, path) -> None:
     """Self-describing text dump: kind header, then per network a header
     and per layer the weight rows and the bias row."""
-    with open(path, "w", encoding="ascii") as fh:
+    with _writing(path) as fh:
         fh.write(_header("generative", {"kind": model.kind, "latent": model.latent_dim}) + "\n")
         for net in (model.encoder, model.decoder):
             sizes = ":".join(str(s) for s in net.layer_sizes)

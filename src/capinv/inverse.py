@@ -22,7 +22,7 @@ import numpy as np
 
 from .fields import Dataset, FieldGrid
 from .generative import GenerativeModel, encode, decode
-from .textio import _header, _reading, _vector
+from .textio import _header, _reading, _vector, _writing
 
 __all__ = [
     "RegressionError",
@@ -58,6 +58,9 @@ class InversionError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.residual, self.iterations)
 
 
 @dataclass
@@ -326,7 +329,7 @@ def save_pipeline(pipeline: InversePipeline, path) -> None:
     reg = pipeline.regression
     head = {"space": pipeline.approach, "grid": pipeline.grid_n, "optimizer": pipeline.optimizer_tag}
     scalars = {"intercept": reg.intercept, "fit_residual": reg.fit_residual, "anchor_d": pipeline.anchor_d}
-    with open(path, "w", encoding="ascii") as fh:
+    with _writing(path) as fh:
         fh.write(_header("regression", head) + "\n")
         fh.writelines(f"{key}={float(value)!r}\n" for key, value in scalars.items())
         for tag, vec in (("phi", reg.phi), ("anchor", pipeline.anchor), ("anchor_field", pipeline.anchor_field)):

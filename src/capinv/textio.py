@@ -4,6 +4,10 @@ A file is a sequence of lines: `key=value` headers, `tag count` lines and
 rows of floats written with repr and joined by commas, so that a
 save/load round trip is bit exact. Readers skip blank lines.
 
+A writer writes a sibling temporary file and moves it over the target only
+once it is complete, so a writer that fails part-way leaves the target as
+it was.
+
 A block of float rows is parsed by one np.loadtxt call, whose C reader
 rounds each value with the routine float() uses, so the array has the bits
 float() gives. A block the C reader rejects, returns in another shape or
@@ -14,6 +18,7 @@ message, as a float() parse of each row.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -136,3 +141,27 @@ def _reading(path, noun: str):
                 raise ValueError(f"unexpected data after the {noun}: {lines.take('')[:80]!r}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _writing(path):
+    """An open text file that replaces the file at path when the body ends.
+
+    The body writes a temporary file next to path, which os.replace then
+    moves into place; when the body raises, the temporary file is removed
+    and path is left as it was, or absent. The temporary file is made by
+    open, not mkstemp, so its mode follows the umask like any new file's.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w", encoding="ascii")
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # the message names the target the caller gave
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

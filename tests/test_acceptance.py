@@ -2,7 +2,7 @@
 
 Each test prints a single verdict line (PASS or FAIL with the decisive
 numbers) even when assertions fail, so a full run yields nine readable
-lines. Criteria 5-8 train the full-size models; expect a few minutes.
+lines. Criteria 5-8 train the full-size models.
 
 Set CAPINV_ACCEPT_CACHE to a directory to reuse the expensive artifacts
 (dataset and model files) across runs. They are bit-deterministic under

@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import multiprocessing
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -50,6 +52,29 @@ if still_on:
 ds = fields.generate_dataset([0.3, 0.6], fine_n=41)
 sys.stdout.buffer.write(ds.d.tobytes() + ds.fields.tobytes())
 """
+
+
+# Starts OpenBLAS's threads with a matrix product, checks that they exist
+# where /proc lists threads, then solves a dataset in the fork pool and
+# writes its raw bytes.
+_FORK_AFTER_BLAS_SCRIPT = """
+import os, sys
+import numpy as np
+a = np.random.default_rng(0).normal(size=(256, 256))
+a @ a
+if os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) < 2:
+    sys.exit("no BLAS thread is running")
+from capinv import fields
+ds = fields.generate_dataset(POOLED_D, fine_n=41)
+sys.stdout.buffer.write(ds.d.tobytes() + ds.fields.tobytes())
+"""
+
+# Separations generate_dataset solves in its pool where the host has two
+# CPUs and fork.
+POOLED_D = [0.62, 0.2, 0.41, 0.83]
+needs_pool = pytest.mark.skipif(
+    fields._worker_count(len(POOLED_D)) < 2, reason="one CPU, or no fork: generate_dataset solves in-process"
+)
 
 
 def dense_solve(mask: BoundaryMask) -> np.ndarray:
@@ -480,6 +505,57 @@ class TestDataset:
         ).stdout
         ds = generate_dataset([0.3, 0.6], fine_n=41)
         assert out == ds.d.tobytes() + ds.fields.tobytes()
+
+    def test_convergence_error_pickles_with_its_fields(self):
+        back = pickle.loads(pickle.dumps(ConvergenceError("stalled", residual=0.25, sweeps=7)))
+        assert type(back) is ConvergenceError
+        assert (str(back), back.residual, back.sweeps) == ("stalled", 0.25, 7)
+
+    def test_bad_geometry_fails_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_sor ran before the geometry check")
+
+        monkeypatch.setattr(fields, "solve_sor", no_solve)
+        with pytest.raises(GeometryError, match=r"sample d=0\.999: degenerate"):
+            generate_dataset([0.5, 0.3, 0.999], fine_n=401)
+
+    @needs_pool
+    def test_pool_keeps_the_bytes_of_one_call_per_d(self, monkeypatch):
+        calls = []
+        solve = fields.solve_sor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fields, "solve_sor", counted)
+        pooled = generate_dataset(POOLED_D, fine_n=41)
+        assert not calls, "the pooled call solved in this process"
+        single = [generate_dataset([dv], fine_n=41) for dv in sorted(POOLED_D)]
+        assert len(calls) == len(POOLED_D)
+        assert pooled.d.tobytes() == b"".join(ds.d.tobytes() for ds in single)
+        assert pooled.fields.tobytes() == b"".join(ds.fields.tobytes() for ds in single)
+        assert multiprocessing.active_children() == []
+
+    @needs_pool
+    def test_pool_keeps_the_bytes_when_forked_after_blas_threads_started(self):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        script = _FORK_AFTER_BLAS_SCRIPT.replace("POOLED_D", repr(POOLED_D))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=120
+        ).stdout
+        single = [generate_dataset([dv], fine_n=41) for dv in sorted(POOLED_D)]
+        assert out == b"".join(ds.d.tobytes() for ds in single) + b"".join(ds.fields.tobytes() for ds in single)
+
+    @needs_pool
+    def test_pooled_convergence_failure_names_the_lowest_d(self):
+        with pytest.raises(ConvergenceError, match=r"^sample d=0\.3: SOR did not reach") as info:
+            generate_dataset([0.6, 0.3], fine_n=41, max_sweeps=1)
+        assert info.value.sweeps == 1
+        assert 0.0 < info.value.residual <= 1.0
+        assert multiprocessing.active_children() == []
 
     def test_default_parameter_grids(self):
         assert len(fields.TRAIN_D) == 120

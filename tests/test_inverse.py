@@ -9,6 +9,7 @@ which pins down the loop arithmetic.
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -172,6 +173,11 @@ class TestInversePredict:
         assert err.value.iterations == 0
         assert err.value.residual == abs(x0 @ phi - 0.75)
 
+    def test_inversion_error_pickles_with_its_fields(self):
+        back = pickle.loads(pickle.dumps(InversionError("stuck", residual=0.5, iterations=9)))
+        assert type(back) is InversionError
+        assert (str(back), back.residual, back.iterations) == ("stuck", 0.5, 9)
+
     def test_satisfied_start_returns_copy(self):
         phi = np.array([1.0, 0.0])
         model = RegressionModel(space="latent", phi=phi, intercept=0.0, fit_residual=0.0)
@@ -303,6 +309,21 @@ class TestPipelineSerialization:
         )
         with pytest.raises(ValueError, match="empty vector 'phi'"):
             save_pipeline(empty, tmp_path / "empty.reg")
+
+    def test_failed_save_leaves_the_target_as_it_was(self, tmp_path):
+        empty = InversePipeline(
+            regression=RegressionModel(space="latent", phi=np.zeros(0), intercept=0.5, fit_residual=0.0),
+            anchor_d=0.5, anchor=np.zeros(0), anchor_field=np.zeros(4), grid_n=2,
+        )
+        kept = tmp_path / "kept.reg"
+        kept.write_bytes(b"earlier artifact\n")
+        for path in (kept, tmp_path / "new.reg"):
+            with pytest.raises(ValueError, match="empty vector 'phi'"):
+                save_pipeline(empty, path)
+        assert kept.read_bytes() == b"earlier artifact\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.reg"]
+        with pytest.raises(FileNotFoundError, match=r"missing/new\.reg'$"):
+            save_pipeline(empty, tmp_path / "missing" / "new.reg")
 
     def test_round_trip_is_bit_exact(self, tmp_path, unit_train, unit_vae):
         model, _ = unit_vae
