@@ -20,9 +20,10 @@ from .generative import decode, encode
 from .inverse import (
     InversionError,
     RegressionError,
+    _noisy_start,
+    _solve_from,
     fit_regression,
     inverse_predict,
-    recover_field,
 )
 from .textio import _header, _row
 
@@ -134,13 +135,20 @@ def run_noise_sweep(config: SweepConfig, pipelines: dict, test_set: Dataset) -> 
             truth.append((float(d), reference.values))
         targets.append((d, reference, keep))
     for name, pipeline in pipelines.items():
+        # recover_field in two steps: the start of an (e, seed) does not
+        # depend on d, so it is drawn once and shared by every separation.
+        # A start that raises is not kept, so each of its cells fails alone.
+        starts = {}
         for d, reference, keep in targets:
             for e in config.noise_levels:
                 for seed in config.seeds:
                     cell = SweepCell(approach=name, optimizer=pipeline.optimizer_tag,
                                      d=float(d), e=float(e), seed=int(seed), ssd=float("nan"))
                     try:
-                        grid = recover_field(pipeline, d, e, seed, corrupt_field_first=config.corrupt_field_first)
+                        start = starts.get((e, seed))
+                        if start is None:
+                            start = starts[e, seed] = _noisy_start(pipeline, e, seed, config.corrupt_field_first)
+                        grid = _solve_from(pipeline, d, start)
                         cell.ssd = ssd(reference, grid)
                         if keep:
                             cell.field_values = grid.values.copy()
@@ -156,33 +164,33 @@ def aggregate_cells(cells) -> list:
     Failed cells are excluded; a group with no surviving cells reports
     NaN with n_seeds = 0. Groups keep first-seen order, which is seed-order
     independent because grouping ignores the seed.
+
+    Groups with the same number of surviving cells are stacked into one
+    sorted table, and each table gets one median and one percentile call
+    along its rows, whose per-row arithmetic is that of a call per group.
     """
     groups: dict[tuple, list[float]] = {}
     for cell in cells:
         group = groups.setdefault((cell.approach, cell.optimizer, cell.d, cell.e), [])
         if cell.error is None:
             group.append(cell.ssd)
-    rows = []
+    by_size: dict[int, list[tuple]] = {}
     for key, group in groups.items():
-        values = np.sort(np.asarray(group))
-        if values.size:
-            median = float(np.median(values))
-            iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
+        by_size.setdefault(len(group), []).append(key)
+    stats = {}  # key -> (median, iqr)
+    for size, keys in by_size.items():
+        if size == 0:
+            medians = iqrs = [float("nan")] * len(keys)
         else:
-            median = float("nan")
-            iqr = float("nan")
-        rows.append(
-            AggregateRow(
-                approach=key[0],
-                optimizer=key[1],
-                d=key[2],
-                e=key[3],
-                n_seeds=int(values.size),
-                ssd_median=median,
-                ssd_iqr=iqr,
-            )
-        )
-    return rows
+            table = np.sort(np.array([groups[key] for key in keys], dtype=np.float64), axis=1)
+            q1, q3 = np.percentile(table, [25, 75], axis=1)
+            medians, iqrs = np.median(table, axis=1).tolist(), (q3 - q1).tolist()
+        stats.update(zip(keys, zip(medians, iqrs)))
+    return [
+        AggregateRow(approach=key[0], optimizer=key[1], d=key[2], e=key[3], n_seeds=len(group),
+                     ssd_median=stats[key][0], ssd_iqr=stats[key][1])
+        for key, group in groups.items()
+    ]
 
 
 @dataclass

@@ -196,6 +196,16 @@ def optimal_omega(n: int) -> float:
     return 2.0 / (1.0 + math.sin(math.pi / n))
 
 
+def _check_solver(omega: float | None = None, tol: float | None = None, max_sweeps: int | None = None) -> None:
+    """solve_sor's argument checks; an argument left None is not checked."""
+    if omega is not None and not (1.0 <= omega < 2.0):
+        raise ValueError(f"omega must lie in [1, 2), got {omega}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_sweeps is not None and max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
+
+
 def solve_sor(
     mask: BoundaryMask,
     omega: float | None = None,
@@ -223,15 +233,10 @@ def solve_sor(
     n = mask.n
     if omega is None:
         omega = optimal_omega(n)
-    if not (1.0 <= omega < 2.0):
-        raise ValueError(f"omega must lie in [1, 2), got {omega}")
     if tol is None:
         scale = float(np.max(np.abs(mask.value))) if mask.fixed.any() else 0.0
         tol = 1e-6 * (scale if scale > 0.0 else 1.0)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    _check_solver(omega, tol, max_sweeps)
 
     # The grid is held as four parity lattices in one (2, 2, w, w) block,
     # w = (n + 1) // 2: lattice[a, b, I, J] = v[2I + a, 2J + b], padded with
@@ -389,10 +394,10 @@ def generate_dataset(d_values, **options) -> Dataset:
     options are CapacitorConfig's geometry fields (a, b, v0, fine_n,
     coarse_n) and solve_sor's keywords (omega, tol, max_sweeps); one left
     out keeps its default there. Samples are solved independently from a
-    cold start and stored in ascending d order. Every geometry is checked
-    before the first solve starts. Solver and geometry failures are
-    re-raised with the offending d in the message. Fields are flattened
-    row-major and divided by v0, so entries lie in [-1, 1].
+    cold start and stored in ascending d order. The solver options and every
+    geometry are checked before the first solve starts. Solver and geometry
+    failures are re-raised with the offending d in the message. Fields are
+    flattened row-major and divided by v0, so entries lie in [-1, 1].
 
     The solves run in a fork pool with one worker per available CPU, made
     and shut down within the call; a single sample, a single CPU or a
@@ -400,6 +405,7 @@ def generate_dataset(d_values, **options) -> Dataset:
     computation either way, so the dataset has the same bytes.
     """
     solver = {key: options.pop(key) for key in ("omega", "tol", "max_sweeps") if key in options}
+    _check_solver(**solver)
     configs = []
     for dv in sorted(float(x) for x in d_values):
         try:

@@ -308,15 +308,25 @@ def recover_field(
     gives the same field either way. A latent solution is decoded. noise_e =
     0 keeps everything deterministic.
     """
+    return _solve_from(pipeline, target_d, _noisy_start(pipeline, noise_e, seed, corrupt_field_first))
+
+
+def _noisy_start(pipeline: InversePipeline, noise_e: float, seed: int, corrupt_field_first: bool) -> np.ndarray:
+    """recover_field's initial estimate. It depends on the pipeline, noise_e,
+    seed and corrupt_field_first only, and no later step writes to it, so a
+    caller may share one start across target separations."""
     latent = pipeline.approach == "latent"
     if latent and pipeline.model is None:
         raise ValueError("latent pipeline has no generative model attached")
     if latent and corrupt_field_first:
-        start = encode(pipeline.model, add_awgn(pipeline.anchor_field, noise_e, seed))
-    else:
-        start = add_awgn(pipeline.anchor, noise_e, seed)
+        return encode(pipeline.model, add_awgn(pipeline.anchor_field, noise_e, seed))
+    return add_awgn(pipeline.anchor, noise_e, seed)
+
+
+def _solve_from(pipeline: InversePipeline, target_d: float, start: np.ndarray) -> FieldGrid:
+    """recover_field's search from a drawn start, decoded for latent."""
     values = inverse_predict(pipeline.regression, target_d, start)
-    if latent:
+    if pipeline.approach == "latent":
         values = decode(pipeline.model, values)
     side = pipeline.grid_n
     return FieldGrid(values=values.reshape(side, side), units="normalized")

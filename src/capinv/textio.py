@@ -26,7 +26,8 @@ import numpy as np
 
 
 def _row(values) -> str:
-    return ",".join([repr(float(x)) for x in values])
+    # tolist() gives the Python floats float() would, without a numpy scalar per value.
+    return ",".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
 def _header(tag: str, fields: dict, sep: str = " ") -> str:

@@ -2,6 +2,7 @@
 arithmetic, timing table structure, and export round trips."""
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from capinv.experiments import (
     run_timing,
     ssd,
 )
-from capinv.inverse import recover_field
+from capinv import inverse
+from capinv.inverse import InversionError, RegressionModel, recover_field
 
 
 def csv_rows(path) -> list:
@@ -114,6 +116,66 @@ class TestRunNoiseSweep:
             run_noise_sweep(config, unit_pipelines, unit_test_set)
 
 
+class TestSharedStarts:
+    """run_noise_sweep draws each (approach, e, seed) start once for all d;
+    every cell must still be the recover_field of its own coordinates."""
+
+    CONFIG = SweepConfig(noise_levels=(0.0, 0.1, 1.0), test_d=(0.3, 0.5, 0.8), seeds=(0, 3),
+                         keep_fields_d=(0.3, 0.8))
+
+    @staticmethod
+    def reference(test_set, d):
+        return test_set.field_grid(int(np.flatnonzero(np.isclose(test_set.d, d))[0]))
+
+    @pytest.mark.parametrize("corrupt_field_first", [False, True])
+    def test_cells_equal_recover_field_bit_for_bit(self, unit_pipelines, unit_test_set, corrupt_field_first):
+        config = dataclasses.replace(self.CONFIG, corrupt_field_first=corrupt_field_first)
+        result = run_noise_sweep(config, unit_pipelines, unit_test_set)
+        assert len(result.cells) == 3 * 3 * 3 * 2
+        for cell in result.cells:
+            grid = recover_field(unit_pipelines[cell.approach], cell.d, cell.e, cell.seed,
+                                 corrupt_field_first=corrupt_field_first)
+            assert cell.error is None
+            assert float.hex(cell.ssd) == float.hex(ssd(self.reference(unit_test_set, cell.d), grid))
+            if cell.d in (0.3, 0.8):
+                assert cell.field_values.tobytes() == grid.values.tobytes()
+            else:
+                assert cell.field_values is None
+
+    @pytest.mark.parametrize("corrupt_field_first", [False, True])
+    def test_failing_pipelines_fail_in_every_cell(self, unit_pipelines, unit_test_set, corrupt_field_first):
+        full = unit_pipelines["fullspace"]
+        broken = {
+            "zero_phi": dataclasses.replace(
+                full, regression=RegressionModel("fullspace", np.zeros_like(full.regression.phi), 2.0, 0.0)),
+            "no_model": dataclasses.replace(unit_pipelines["ae"], model=None),
+        }
+        config = dataclasses.replace(self.CONFIG, corrupt_field_first=corrupt_field_first)
+        result = run_noise_sweep(config, broken, unit_test_set)
+        assert len(result.cells) == 2 * 3 * 3 * 2
+        for cell in result.cells:
+            kind = InversionError if cell.approach == "zero_phi" else ValueError
+            with pytest.raises(kind) as want:
+                recover_field(broken[cell.approach], cell.d, cell.e, cell.seed,
+                              corrupt_field_first=corrupt_field_first)
+            assert cell.error == str(want.value)
+            assert math.isnan(cell.ssd) and cell.field_values is None
+
+    def test_each_start_is_drawn_once(self, unit_pipelines, unit_test_set, monkeypatch):
+        draws = []
+        add_awgn = inverse.add_awgn
+
+        def counted(x, e, seed):
+            draws.append((e, seed))
+            return add_awgn(x, e, seed)
+
+        monkeypatch.setattr(inverse, "add_awgn", counted)
+        run_noise_sweep(self.CONFIG, unit_pipelines, unit_test_set)
+        # one draw per (approach, e, seed), not one per d
+        want = [(e, seed) for _ in unit_pipelines for e in self.CONFIG.noise_levels for seed in self.CONFIG.seeds]
+        assert draws == want
+
+
 class TestAggregateCells:
     @staticmethod
     def cell(approach, d, e, seed, value, error=None):
@@ -144,6 +206,28 @@ class TestAggregateCells:
         assert rows[0].n_seeds == 0
         assert math.isnan(rows[0].ssd_median)
         assert math.isnan(rows[0].ssd_iqr)
+
+    def test_groups_of_mixed_sizes_match_a_call_per_group(self):
+        # Groups keeping 5, 4, 3, 1 and 0 of their 5 seeds, some sizes twice,
+        # their cells interleaved.
+        rng = np.random.default_rng(7)
+        kept = {("vae", 0.7): 5, ("ae", 0.3): 4, ("vae", 0.3): 3, ("ae", 0.5): 5, ("fullspace", 0.5): 1,
+                ("ae", 0.8): 0, ("fullspace", 0.3): 3, ("vae", 0.8): 0}
+        cells = []
+        for seed in range(5):
+            for (approach, d), n_kept in kept.items():
+                value = float(rng.lognormal(0.0, 3.0))
+                cells.append(self.cell(approach, d, 0.1, seed, value, error=None if seed < n_kept else "failed"))
+        rows = aggregate_cells(cells)
+        assert [(r.approach, r.d, r.n_seeds) for r in rows] == [(a, d, n) for (a, d), n in kept.items()]
+        for row in rows:
+            values = np.array([c.ssd for c in cells if (c.approach, c.d) == (row.approach, row.d) and c.error is None])
+            if values.size == 0:
+                assert math.isnan(row.ssd_median) and math.isnan(row.ssd_iqr)
+                continue
+            assert float.hex(row.ssd_median) == float.hex(float(np.median(values)))
+            iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
+            assert float.hex(row.ssd_iqr) == float.hex(iqr)
 
     def test_groups_keep_first_seen_order(self):
         cells = [

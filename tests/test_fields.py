@@ -29,6 +29,7 @@ from capinv.fields import (
     save_dataset,
     solve_sor,
 )
+from capinv.textio import _row
 
 
 # Floats whose text form is hardest to read back bit for bit: signed zero,
@@ -518,6 +519,30 @@ class TestDataset:
         monkeypatch.setattr(fields, "solve_sor", no_solve)
         with pytest.raises(GeometryError, match=r"sample d=0\.999: degenerate"):
             generate_dataset([0.5, 0.3, 0.999], fine_n=401)
+
+    @pytest.mark.parametrize("option", [{"omega": 0.5}, {"omega": 2.0}, {"tol": 0.0}, {"tol": math.nan},
+                                        {"max_sweeps": 0}])
+    def test_bad_solver_option_fails_before_the_pool(self, monkeypatch, option):
+        mask = build_boundary_mask(CapacitorConfig(d=0.5, fine_n=21, coarse_n=21))
+        with pytest.raises(ValueError) as want:
+            solve_sor(mask, **option)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the solver options were checked")
+
+        monkeypatch.setattr(fields, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(fields, "build_boundary_mask", refuse)
+        with pytest.raises(ValueError) as got:
+            generate_dataset(fields.TRAIN_D, fine_n=401, **option)
+        assert type(got.value) is ValueError
+        assert str(got.value) == str(want.value)
+
+    def test_row_text_is_the_repr_of_each_float(self):
+        values = EDGE_VALUES + [1e-7, 3, np.float32(0.1), -np.float32(1e-30)]
+        assert _row(values) == ",".join(repr(float(x)) for x in values)
+        for x in values:
+            assert _row([x]) == repr(float(x))
+        assert _row(np.asarray(EDGE_VALUES)) == ",".join(map(repr, EDGE_VALUES))
 
     @needs_pool
     def test_pool_keeps_the_bytes_of_one_call_per_d(self, monkeypatch):
