@@ -63,7 +63,7 @@ def ssd(a: FieldGrid, b: FieldGrid) -> float:
     if a.units != b.units:
         raise ValueError(f"units mismatch: {a.units!r} vs {b.units!r}")
     diff = a.values - b.values
-    return float(np.sum(diff * diff))
+    return float((diff * diff).sum())
 
 
 @dataclass(frozen=True)

@@ -342,6 +342,8 @@ class Dataset:
         self.fields = np.asarray(self.fields, dtype=np.float64)
         if self.d.ndim != 1:
             raise ValueError("d must be a 1-D array")
+        if self.grid_n < 1:
+            raise ValueError(f"grid side must be at least 1, got grid={self.grid_n}")
         width = self.grid_n * self.grid_n
         if self.fields.shape != (self.d.shape[0], width):
             raise ValueError(

@@ -10,7 +10,9 @@ The descent loop works coefficient by coefficient in plain Python on
 purpose: its per-iteration cost is proportional to the search-space
 dimension (441 fullspace vs 20 latent), which is exactly the cost
 structure the timing benchmark measures. numpy calls at these sizes are
-dominated by fixed per-call overhead and would flatten that ratio.
+dominated by fixed per-call overhead and would flatten that ratio. phi and
+the start enter the loop through tolist(), which gives in one call the
+Python floats float() gives per value, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -146,8 +148,8 @@ class InverseOptions:
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.residual_tol <= 0.0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
+            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
 
@@ -169,10 +171,10 @@ def inverse_predict(
     x_arr = np.asarray(initial_estimate, dtype=np.float64)
     if x_arr.shape != model.phi.shape:
         raise ValueError(f"estimate shape {x_arr.shape} does not match coefficients {model.phi.shape}")
-    if not np.all(np.isfinite(x_arr)):
+    if not np.isfinite(x_arr).all():
         raise ValueError("initial estimate has non-finite entries")
-    phi = [float(p) for p in model.phi]
-    x = [float(t) for t in x_arr]
+    phi = model.phi.tolist()
+    x = x_arr.tolist()
     pp = 0.0
     for p in phi:
         pp += p * p
@@ -236,6 +238,8 @@ class InversePipeline:
     def __post_init__(self) -> None:
         self.anchor = np.asarray(self.anchor, dtype=np.float64)
         self.anchor_field = np.asarray(self.anchor_field, dtype=np.float64)
+        if self.grid_n < 1:
+            raise ValueError(f"grid side must be at least 1, got grid={self.grid_n}")
         cells = self.grid_n * self.grid_n
         width = self.regression.phi.shape[0]
         if self.anchor_field.shape != (cells,):

@@ -436,6 +436,14 @@ class TestDataset:
         with pytest.raises(ValueError, match=r"bad\.csv: d and fields must be finite"):
             load_dataset(path)
 
+    def test_load_rejects_a_negative_grid(self, tmp_path):
+        # (-2)^2 passes the width check; the grid side itself must be refused.
+        path = tmp_path / "neg.ds"
+        save_dataset(fields.Dataset(grid_n=2, v0=1.0, d=[0.5], fields=np.zeros((1, 4))), path)
+        path.write_text(path.read_text().replace("grid=2,", "grid=-2,", 1))
+        with pytest.raises(ValueError, match=r"neg\.ds: grid side must be at least 1, got grid=-2"):
+            load_dataset(path)
+
     def test_round_trip_keeps_the_bits_of_edge_values(self, tmp_path):
         values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
         ds = fields.Dataset(grid_n=3, v0=0.1, d=values, fields=[np.roll(values, k)[:9] for k in range(len(values))])

@@ -35,6 +35,47 @@ def projection(phi, intercept, target, x0):
     return x0 + phi * (target - x0 @ phi - intercept) / (phi @ phi)
 
 
+def reference_descent(model, target_d, initial_estimate, options):
+    """inverse_predict's checks-free descent with a float() per value, as it
+    was written before phi and the start entered through tolist()."""
+    x_arr = np.asarray(initial_estimate, dtype=np.float64)
+    phi = [float(p) for p in model.phi]
+    x = [float(t) for t in x_arr]
+    pp = 0.0
+    for p in phi:
+        pp += p * p
+    offset = model.intercept - target_d
+    if pp == 0.0:
+        if abs(offset) < options.residual_tol:
+            return x_arr.copy()
+        raise InversionError(
+            f"infeasible: zero coefficient vector and intercept {model.intercept!r} "
+            f"cannot reach target {target_d!r}",
+            residual=abs(offset),
+            iterations=0,
+        )
+    step = 0.5 / pp
+    r = offset
+    for xi, p in zip(x, phi):
+        r += xi * p
+    iterations = 0
+    while abs(r) >= options.residual_tol:
+        if iterations >= options.max_iterations:
+            raise InversionError(
+                f"no convergence after {iterations} iterations (|residual| = {abs(r):.3e})",
+                residual=abs(r),
+                iterations=iterations,
+            )
+        s = 2.0 * step * r
+        r = offset
+        for i, p in enumerate(phi):
+            xi = x[i] - s * p
+            x[i] = xi
+            r += xi * p
+        iterations += 1
+    return np.asarray(x, dtype=np.float64)
+
+
 def synthetic_dataset(d_values, grid_n=3, seed=0):
     rng = np.random.default_rng(seed)
     d = np.asarray(d_values, dtype=np.float64)
@@ -173,6 +214,34 @@ class TestInversePredict:
         assert err.value.iterations == 0
         assert err.value.residual == abs(x0 @ phi - 0.75)
 
+    def test_bits_match_reference_descent(self):
+        rng = np.random.default_rng(15)
+        edge = np.array([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308])
+        for width in (1, 2, 3, 10, 20, 21, 100, 441):
+            for trial in range(4):
+                phi = rng.normal(size=width)
+                x0 = rng.normal(scale=3.0, size=width)
+                if trial % 2:  # edge entries in both vectors, at random places
+                    phi[rng.integers(0, width, size=2)] = rng.choice(edge, size=2)
+                    x0[rng.integers(0, width, size=2)] = rng.choice(edge, size=2)
+                model = RegressionModel(space="latent", phi=phi, intercept=float(rng.normal()), fit_residual=0.0)
+                target = float(rng.uniform(0, 1))
+                for options in (InverseOptions(), InverseOptions(residual_tol=1e-300, max_iterations=4)):
+                    try:
+                        want = reference_descent(model, target, x0, options)
+                    except InversionError as exc:
+                        with pytest.raises(InversionError) as got:
+                            inverse_predict(model, target, x0, options)
+                        assert (str(got.value), repr(got.value.residual), got.value.iterations) == (
+                            str(exc), repr(exc.residual), exc.iterations)
+                    else:
+                        assert inverse_predict(model, target, x0, options).tobytes() == want.tobytes()
+                with pytest.raises(InversionError) as got:
+                    inverse_predict(model, target, x0, InverseOptions(max_iterations=0))
+                with pytest.raises(InversionError) as want:
+                    reference_descent(model, target, x0, InverseOptions(max_iterations=0))
+                assert (repr(got.value.residual), got.value.iterations) == (repr(want.value.residual), 0)
+
     def test_inversion_error_pickles_with_its_fields(self):
         back = pickle.loads(pickle.dumps(InversionError("stuck", residual=0.5, iterations=9)))
         assert type(back) is InversionError
@@ -204,8 +273,10 @@ class TestInversePredict:
             inverse_predict(model, 0.5, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             inverse_predict(model, 0.5, np.zeros(3))
-        with pytest.raises(ValueError):
-            InverseOptions(residual_tol=0.0)
+        # A nan tolerance would stop no descent: every start would come back unchanged.
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"residual_tol must be finite and positive, got {tol}"):
+                InverseOptions(residual_tol=tol)
 
 
 class TestPipeline:
@@ -367,3 +438,11 @@ class TestPipelineSerialization:
             path.write_text("".join(text))
             with pytest.raises(ValueError, match=r"bad\.reg: "):
                 load_pipeline(path)
+
+    def test_load_rejects_a_negative_grid(self, tmp_path):
+        # (-3)^2 passes every width check; the grid side itself must be refused.
+        path = tmp_path / "neg.reg"
+        save_pipeline(fit_pipeline("fullspace", synthetic_dataset([0.2, 0.5, 0.8])), path)
+        path.write_text(path.read_text().replace(" grid=3 ", " grid=-3 ", 1))
+        with pytest.raises(ValueError, match=r"neg\.reg: grid side must be at least 1, got grid=-3"):
+            load_pipeline(path)
