@@ -12,7 +12,7 @@ import numpy as np
 
 from . import experiments, fields, generative, inverse
 from .network import DEFAULT_LEARNING_RATES, TrainingError
-from .textio import _row
+from .textio import _field_block, _row, _writing
 
 _USAGE_ERRORS = (
     fields.ConvergenceError,
@@ -160,7 +160,7 @@ def _cmd_train(args) -> int:
     model, history = generative.train_generative(args.kind, dataset.fields, config, **seed)
     generative.save_model(model, args.out)
     history_path = args.history if args.history is not None else f"{args.out}.history.csv"
-    with open(history_path, "w", encoding="ascii") as fh:
+    with _writing(history_path) as fh:
         fh.write("iteration,total,rec,kld\n")
         fh.writelines(f"{i},{_row(row)}\n" for i, row in enumerate(zip(history.total, history.rec, history.kld)))
     final = history.total[-1] if len(history.total) else float("nan")
@@ -193,15 +193,10 @@ def _cmd_invert(args) -> int:
     grid = inverse.recover_field(
         pipeline, args.d, args.noise, args.seed, corrupt_field_first=args.corrupt_field_first
     )
-    with open(args.out, "w", encoding="ascii") as fh:
-        meta = {
-            "approach": args.approach,
-            "optimizer": pipeline.optimizer_tag,
-            "d": repr(args.d),
-            "e": repr(args.noise),
-            "seed": args.seed,
-        }
-        experiments.write_field_block(fh, meta, grid.values)
+    meta = {"approach": args.approach, "optimizer": pipeline.optimizer_tag,
+            "d": repr(args.d), "e": repr(args.noise), "seed": args.seed}
+    with _writing(args.out) as fh:
+        fh.write(_field_block(meta, grid.values))
     print(f"wrote recovered {grid.n}x{grid.n} field to {args.out}")
     return 0
 

@@ -25,7 +25,7 @@ from .inverse import (
     fit_regression,
     inverse_predict,
 )
-from .textio import _header, _row
+from .textio import _field_block, _writing
 
 __all__ = [
     "ssd",
@@ -270,12 +270,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_field_block(fh, meta: dict, values: np.ndarray) -> None:
-    """A meta line of meta's items and grid=<rows>, then the grid rows."""
-    fh.write(_header("", {**meta, "grid": values.shape[0]}, ",") + "\n")
-    fh.writelines(_row(row) + "\n" for row in values)
-
-
 def export_results(result: SweepResult, out_dir, timing: list | None = None) -> list:
     """Write the plot-ready tables into out_dir; returns the paths written.
 
@@ -296,50 +290,37 @@ def export_results(result: SweepResult, out_dir, timing: list | None = None) -> 
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in EXPORT_NAMES]
 
-    with open(paths[0], "w", encoding="ascii", newline="") as fh:
-        for d, values in result.groundtruth:
-            meta = {"approach": "groundtruth", "optimizer": "-", "d": repr(float(d)), "e": "-", "seed": "-"}
-            write_field_block(fh, meta, values)
-        for cell in result.cells:
-            if cell.field_values is not None:
-                meta = {"approach": cell.approach, "optimizer": cell.optimizer,
-                        "d": repr(cell.d), "e": repr(cell.e), "seed": cell.seed}
-                write_field_block(fh, meta, cell.field_values)
+    blocks = [({"approach": "groundtruth", "optimizer": "-", "d": repr(float(d)), "e": "-", "seed": "-"}, values)
+              for d, values in result.groundtruth]
+    blocks += [({"approach": cell.approach, "optimizer": cell.optimizer,
+                 "d": repr(cell.d), "e": repr(cell.e), "seed": cell.seed}, cell.field_values)
+               for cell in result.cells if cell.field_values is not None]
+    with _writing(paths[0]) as fh:
+        fh.writelines(_field_block(meta, values) for meta, values in blocks)
 
     aggregates = aggregate_cells(result.cells)
     header = ["approach", "optimizer", "d", "e", "n_seeds", "ssd_median", "ssd_iqr"]
-    for path, want_adam in ((paths[1], False), (paths[2], True)):
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in aggregates:
-                if (row.optimizer == "adam") is not want_adam:
-                    continue
-                writer.writerow(
-                    [row.approach, row.optimizer, repr(row.d), repr(row.e), row.n_seeds,
-                     _fmt(row.ssd_median), _fmt(row.ssd_iqr)]
-                )
+    fig8, fig9 = [header], [header]
+    for row in aggregates:
+        (fig9 if row.optimizer == "adam" else fig8).append(
+            [row.approach, row.optimizer, repr(row.d), repr(row.e), row.n_seeds,
+             _fmt(row.ssd_median), _fmt(row.ssd_iqr)]
+        )
 
-    with open(paths[3], "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        if timing is None:
-            writer.writerow(["stage"])
-        else:
-            writer.writerow(["stage"] + [row.approach for row in timing])
-            writer.writerow(["optimizer"] + [row.optimizer for row in timing])
-            writer.writerow(["space_dim"] + [str(row.space_dim) for row in timing])
-            for stage in TIMING_STAGES:
-                writer.writerow([stage] + [_fmt(getattr(row, f"{stage}_ms")) for row in timing])
-            writer.writerow(["total"] + [_fmt(row.total_ms) for row in timing])
+    table2 = [["stage"]]
+    if timing is not None:  # one column per row of timing, next to the labels
+        columns = [[row.approach, row.optimizer, row.space_dim,
+                    *(_fmt(getattr(row, f"{stage}_ms")) for stage in TIMING_STAGES), _fmt(row.total_ms)]
+                   for row in timing]
+        table2 = list(zip(["stage", "optimizer", "space_dim", *TIMING_STAGES, "total"], *columns))
 
-    with open(paths[4], "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["approach", "optimizer", "d", "e", "seed", "ssd", "error"])
-        for cell in result.cells:
-            writer.writerow(
-                [cell.approach, cell.optimizer, repr(cell.d), repr(cell.e), cell.seed,
-                 repr(cell.ssd), cell.error or ""]
-            )
+    cells = [["approach", "optimizer", "d", "e", "seed", "ssd", "error"]]
+    cells += [[cell.approach, cell.optimizer, repr(cell.d), repr(cell.e), cell.seed, repr(cell.ssd), cell.error or ""]
+              for cell in result.cells]
+
+    for path, rows in zip(paths[1:], (fig8, fig9, table2, cells)):
+        with _writing(path) as fh:
+            csv.writer(fh).writerows(rows)
     return [str(p) for p in paths]
 
 

@@ -71,7 +71,9 @@ class CapacitorConfig:
     d is the plate separation, a/b the horizontal extent of both plates,
     v0 the plate potential magnitude. fine_n is the solve resolution per
     side, coarse_n the resolution kept for the learning stages; the fine
-    step count must be an integer multiple of the coarse one.
+    step count must be an integer multiple of the coarse one. The plate rows
+    must snap to two distinct fine rows (else a resolution error), and off
+    the outer wall unless d = 1 (else degenerate geometry).
     """
 
     d: float
@@ -95,6 +97,15 @@ class CapacitorConfig:
         if (self.fine_n - 1) % (self.coarse_n - 1) != 0:
             raise GeometryError(
                 f"fine step count {self.fine_n - 1} is not a multiple of coarse step count {self.coarse_n - 1}"
+            )
+        lower, upper = self.plate_rows()
+        if lower == upper:
+            raise GeometryError(
+                f"resolution error: both plate rows snap to fine row {lower} (d={self.d}, fine_n={self.fine_n})"
+            )
+        if self.d < 1.0 and (lower <= 0 or upper >= self.fine_n - 1):
+            raise GeometryError(
+                f"degenerate geometry: plate row snaps onto the outer wall (rows {lower}, {upper}, d={self.d})"
             )
 
     def plate_rows(self) -> tuple[int, int]:
@@ -161,22 +172,10 @@ def build_boundary_mask(config: CapacitorConfig) -> BoundaryMask:
     """Assemble the Dirichlet mask for one capacitor configuration.
 
     The outer box is grounded (0 V). The two plate segments are fixed at
-    +v0 (upper) and -v0 (lower). Raises GeometryError when snapping puts a
-    plate on the outer wall while d < 1 (degenerate geometry) or collapses
-    the two plate rows onto each other (insufficient resolution).
+    +v0 (upper) and -v0 (lower), on the rows CapacitorConfig has checked.
     """
     n = config.fine_n
-    m = n - 1
     lower, upper = config.plate_rows()
-    if lower == upper:
-        raise GeometryError(
-            f"resolution error: both plate rows snap to fine row {lower} (d={config.d}, fine_n={n})"
-        )
-    if config.d < 1.0 and (lower <= 0 or upper >= m):
-        raise GeometryError(
-            f"degenerate geometry: plate row snaps onto the outer wall (rows {lower}, {upper}, d={config.d})"
-        )
-
     fixed = np.zeros((n, n), dtype=bool)
     value = np.zeros((n, n), dtype=np.float64)
     fixed[0, :] = fixed[-1, :] = fixed[:, 0] = fixed[:, -1] = True
@@ -411,11 +410,9 @@ def generate_dataset(d_values, **options) -> Dataset:
     configs = []
     for dv in sorted(float(x) for x in d_values):
         try:
-            config = CapacitorConfig(d=dv, **options)
-            build_boundary_mask(config)
+            configs.append(CapacitorConfig(d=dv, **options))
         except GeometryError as exc:
             raise GeometryError(f"sample d={dv!r}: {exc}") from exc
-        configs.append(config)
     coarse_n = options.get("coarse_n", CapacitorConfig.coarse_n)
     rows = np.empty((len(configs), coarse_n * coarse_n), dtype=np.float64)
     workers = _worker_count(len(configs))

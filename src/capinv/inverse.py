@@ -84,6 +84,8 @@ class RegressionModel:
             raise ValueError("phi has non-finite entries")
         if not (math.isfinite(self.intercept) and math.isfinite(self.fit_residual)):
             raise ValueError(f"intercept {self.intercept!r} and fit residual {self.fit_residual!r} must be finite")
+        if self.fit_residual < 0.0:
+            raise ValueError(f"fit_residual must be nonnegative, got {self.fit_residual!r}")
 
 
 def fit_regression(samples, targets, space: str) -> RegressionModel:
@@ -219,8 +221,9 @@ class InversePipeline:
     field nearest d = 0.5 for fullspace, that same field's encoding for
     latent. anchor_field keeps the underlying field either way so noise
     can alternatively be applied before encoding. Construction checks
-    every width against grid_n and phi, and a latent model's against both.
-    The approach is the regression's search space.
+    every width against grid_n and phi, and a latent model's against both,
+    and that anchor_d is a separation in [0, 1]. The approach is the
+    regression's search space.
     """
 
     regression: RegressionModel
@@ -240,6 +243,8 @@ class InversePipeline:
         self.anchor_field = np.asarray(self.anchor_field, dtype=np.float64)
         if self.grid_n < 1:
             raise ValueError(f"grid side must be at least 1, got grid={self.grid_n}")
+        if not 0.0 <= self.anchor_d <= 1.0:
+            raise ValueError(f"anchor_d must be finite and lie in [0, 1], got {self.anchor_d!r}")
         cells = self.grid_n * self.grid_n
         width = self.regression.phi.shape[0]
         if self.anchor_field.shape != (cells,):

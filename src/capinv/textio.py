@@ -4,9 +4,10 @@ A file is a sequence of lines: `key=value` headers, `tag count` lines and
 rows of floats written with repr and joined by commas, so that a
 save/load round trip is bit exact. Readers skip blank lines.
 
-A writer writes a sibling temporary file and moves it over the target only
-once it is complete, so a writer that fails part-way leaves the target as
-it was.
+textio is the only capinv module that writes a file. _writing writes a
+sibling temporary file and moves it over the target only once it is
+complete, so every capinv output is complete or absent, and a writer that
+fails part-way leaves the target as it was.
 
 A block of float rows is parsed by one np.loadtxt call, whose C reader
 rounds each value with the routine float() uses, so the array has the bits
@@ -19,6 +20,7 @@ message, as a float() parse of each row.
 from __future__ import annotations
 
 import os
+import stat
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -33,6 +35,12 @@ def _row(values) -> str:
 def _header(tag: str, fields: dict, sep: str = " ") -> str:
     """`tag key=value ...`, or just the items when tag is empty."""
     return sep.join(([tag] if tag else []) + [f"{key}={value}" for key, value in fields.items()])
+
+
+def _field_block(meta: dict, values) -> str:
+    """A meta line of meta's items and grid=<rows>, then the grid rows."""
+    head = _header("", {**meta, "grid": values.shape[0]}, ",")
+    return "".join(line + "\n" for line in [head, *map(_row, values)])
 
 
 def _vector(tag: str, values) -> str:
@@ -110,12 +118,15 @@ def _reader(fh, noun: str) -> SimpleNamespace:
             else:
                 if out.shape == (count, width):
                     return out
-        out = np.empty((count, width))
-        for i in range(count):
-            out[i] = _floats(lines[i] if i < len(lines) else take(name(i)), width, name(i))
-        return out
+        # Only rows that are there size the array, whatever count says.
+        out = [_floats(line, width, name(i)) for i, line in enumerate(lines)]
+        if len(out) < count:
+            take(name(len(out)))  # raises: the file ends before this row
+        return np.array(out, dtype=np.float64).reshape(count, width)
 
     def rows(count, width, what):
+        if count < 0:
+            raise ValueError(f"{what} count must be nonnegative, got {count}")
         return block(count, width, lambda i: f"{what} {i}")
 
     def vector(tag):
@@ -152,10 +163,16 @@ def _writing(path):
     moves into place; when the body raises, the temporary file is removed
     and path is left as it was, or absent. The temporary file is made by
     open, not mkstemp, so its mode follows the umask like any new file's.
+    newline="" writes every "\n" as is, and csv.writer's "\r\n" untranslated.
+    A path to anything but a regular file (a directory, a device, a symlink
+    such as /dev/stdout) is refused, since os.replace would put a file there.
     """
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        raise ValueError(f"{os.fspath(path)}: not a regular file; an output replaces its target whole, "
+                         "so the path must name a regular file or nothing")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        fh = open(tmp, "w", encoding="ascii")
+        fh = open(tmp, "w", encoding="ascii", newline="")
     except OSError as exc:
         exc.filename = os.fspath(path)  # the message names the target the caller gave
         raise

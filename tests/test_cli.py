@@ -1,8 +1,11 @@
 """Command-line behavior: exit codes, artifact wiring between subcommands,
 and the sweep config parser. Everything runs in-process via cli.main."""
 
+import builtins
 import csv
+import errno
 import inspect
+import os
 import re
 
 import numpy as np
@@ -28,6 +31,54 @@ def workdir(tmp_path_factory):
             "--latent", "4", "--hidden", "12", "--seed", "3"]
     assert main(args) == 0
     return root
+
+
+class _FullDisk:
+    """A file open for writing that takes room more characters, then fails
+    part-way through a write as a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, text):
+        if len(text) > self.room:
+            self.fh.write(text[: self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(text)
+        return self.fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _fill_disk(monkeypatch, target, room):
+    """Make every file opened for writing at target, or at a name that starts
+    with it, fail after room characters."""
+    real_open = builtins.open
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and os.fspath(file).startswith(os.fspath(target)):
+            return _FullDisk(fh, room)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_)
+
+
+def _assert_kept(path, before, capsys):
+    """A failed write exited 1 naming the cause, left path as it was and
+    left no temporary file."""
+    assert f"error: [Errno {errno.ENOSPC}] No space left on device" in capsys.readouterr().err
+    assert path.read_bytes() == before
+    assert not list(path.parent.glob("*.tmp"))
 
 
 class TestExitCodes:
@@ -137,6 +188,16 @@ class TestTrain:
         generative.save_model(model, want)
         assert out.read_bytes() == want.read_bytes()
 
+    def test_failed_history_write_keeps_the_old_file(self, workdir, tmp_path, monkeypatch, capsys):
+        history = tmp_path / "loss.csv"
+        args = ["train", "--kind", "ae", "--data", str(workdir / "train.ds"), "--out", str(tmp_path / "ae.model"),
+                "--iters", "20", "--batch", "4", "--latent", "3", "--hidden", "8", "--history", str(history)]
+        assert main(args + ["--seed", "0"]) == 0
+        before = history.read_bytes()
+        _fill_disk(monkeypatch, history, room=100)
+        assert main(args + ["--seed", "1"]) == 1
+        _assert_kept(history, before, capsys)
+
     def test_bad_config_field_fails_before_training(self, workdir, tmp_path, capsys):
         out = tmp_path / "x.model"
         assert main(["train", "--kind", "ae", "--data", str(workdir / "train.ds"), "--out", str(out),
@@ -210,6 +271,27 @@ class TestInvert:
                          "--d", "0.5", "--out", str(tmp_path / "z.field")])
             assert code == 1
             assert f"error: {bad}: " in capsys.readouterr().err
+
+    def test_failed_out_write_keeps_the_old_file(self, workdir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "r.field"
+        args = ["invert", "--approach", "fullspace", "--data", str(workdir / "train.ds"), "--out", str(out)]
+        assert main(args + ["--d", "0.5"]) == 0
+        before = out.read_bytes()
+        _fill_disk(monkeypatch, out, room=100)
+        assert main(args + ["--d", "0.4"]) == 1
+        _assert_kept(out, before, capsys)
+
+    def test_out_must_be_a_regular_file_or_absent(self, workdir, tmp_path, capsys):
+        real = tmp_path / "real.field"
+        real.write_bytes(b"kept\n")
+        link = tmp_path / "link.field"
+        link.symlink_to(real)
+        for target in (link, tmp_path):
+            assert main(["invert", "--approach", "fullspace", "--data", str(workdir / "train.ds"),
+                         "--d", "0.5", "--out", str(target)]) == 1
+            assert f"error: {target}: not a regular file" in capsys.readouterr().err
+        assert link.is_symlink() and real.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.field", "real.field"]
 
     def test_approach_mismatch_with_artifact(self, workdir, tmp_path, capsys):
         reg = tmp_path / "full.reg"

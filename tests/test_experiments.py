@@ -307,6 +307,16 @@ class TestExport:
             assert a.ssd == b.ssd
             assert a.error == b.error
 
+    def test_failed_export_keeps_the_old_file(self, tmp_path, small_result):
+        paths = export_results(small_result, tmp_path)
+        before = Path(paths[4]).read_bytes()
+        # The csv writer has written every earlier row when the last one fails to encode.
+        bad = dataclasses.replace(small_result.cells[-1], error="solver blew up \u2014 twice")
+        with pytest.raises(UnicodeEncodeError):
+            export_results(dataclasses.replace(small_result, cells=[*small_result.cells[:-1], bad]), tmp_path)
+        assert Path(paths[4]).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(EXPORT_NAMES)
+
     def test_nan_cells_survive_the_round_trip(self, tmp_path):
         cells = [SweepCell(approach="a", optimizer="-", d=0.5, e=0.1, seed=0,
                            ssd=float("nan"), error="solver, blew up")]

@@ -329,6 +329,8 @@ class TestGeometry:
             dict(d=0.5, v0=math.nan),
             dict(d=0.5, fine_n=2),
             dict(d=0.5, fine_n=400),  # 399 steps, not a multiple of 20
+            dict(d=0.02, fine_n=21, coarse_n=21),  # both plate rows snap to row 10
+            dict(d=0.999),  # a plate row snaps onto the wall while d < 1
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -149,6 +149,10 @@ class TestFitRegression:
             with pytest.raises(ValueError, match="must be finite"):
                 RegressionModel(space="latent", phi=np.ones(2), intercept=intercept, fit_residual=residual)
 
+    def test_negative_fit_residual_rejected(self):
+        with pytest.raises(ValueError, match=r"fit_residual must be nonnegative, got -1\.0"):
+            RegressionModel(space="latent", phi=np.ones(2), intercept=0.5, fit_residual=-1.0)
+
 
 class TestAddAwgn:
     def test_zero_variance_copies_without_randomness(self):
@@ -364,6 +368,12 @@ class TestPipeline:
         )
         with pytest.raises(ValueError):
             recover_field(broken, 0.5, 0.0, seed=0)
+
+    @pytest.mark.parametrize("anchor_d", [math.nan, math.inf, -1.0, 1.5])
+    def test_anchor_d_outside_the_unit_interval_rejected(self, unit_train, anchor_d):
+        pipe = fit_pipeline("fullspace", unit_train)
+        with pytest.raises(ValueError, match=r"^anchor_d must be finite and lie in \[0, 1\]"):
+            dataclasses.replace(pipe, anchor_d=anchor_d)
 
     def test_empty_dataset_rejected(self):
         ds = fields.Dataset(grid_n=3, v0=1.0, d=np.zeros(0), fields=np.zeros((0, 9)))
