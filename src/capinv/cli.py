@@ -20,6 +20,7 @@ _USAGE_ERRORS = (
     inverse.InversionError,
     ValueError,
     OSError,
+    MemoryError,  # a size no machine can allocate, such as --count 10**16
 )
 
 
@@ -235,8 +236,12 @@ _SWEEP_KEYS = {
 
 
 def _parse_sweep_config(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

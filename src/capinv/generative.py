@@ -276,9 +276,15 @@ def _read_mlp(lines) -> Mlp:
     """One network block of a model file, as save_model writes it."""
     head = lines.header("mlp", {"layers": lambda v: [int(s) for s in v.split(":")],
                                 "activations": lambda v: tuple(v.split(":"))})
+    sizes = head["layers"]
+    if len(sizes) < 2 or min(sizes) < 0:
+        raise ValueError(f"mlp layers must be at least two nonnegative sizes, got {':'.join(map(str, sizes))}")
+    if len(head["activations"]) != len(sizes) - 1:
+        raise ValueError(f"mlp activations must give one name per layer ({len(sizes) - 1}), "
+                         f"got {':'.join(head['activations'])!r}")
     weights = []
     biases = []
-    for fan_in, fan_out in zip(head["layers"][:-1], head["layers"][1:]):
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         tag = lines.take("weights line")
         if tag != f"weights {fan_in} {fan_out}":
             raise ValueError(f"expected 'weights {fan_in} {fan_out}', got {tag[:80]!r}")

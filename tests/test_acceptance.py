@@ -3,18 +3,11 @@
 Each test prints a single verdict line (PASS or FAIL with the decisive
 numbers) even when assertions fail, so a full run yields nine readable
 lines. Criteria 5-8 train the full-size models.
-
-Set CAPINV_ACCEPT_CACHE to a directory to reuse the expensive artifacts
-(dataset and model files) across runs. They are bit-deterministic under
-fixed seeds at any BLAS thread count, so a warm cache cannot change any
-verdict; delete the directory after code changes that touch generation or
-training. A cache written by a multi-threaded run before training was
-pinned to one BLAS thread holds a non-canonical vae_a.model; delete it too.
 """
 
-import os
-import pathlib
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,8 +27,6 @@ from capinv import (
     generate_dataset,
     inverse_predict,
     kld_loss,
-    load_dataset,
-    load_model,
     rec_loss,
     run_noise_sweep,
     run_timing,
@@ -44,6 +35,7 @@ from capinv import (
     solve_sor,
     train_generative,
 )
+from capinv.fields import _worker_count
 from capinv.generative import _ae_step, _vae_step
 
 from test_fields import dense_solve
@@ -62,54 +54,33 @@ def _report(capsys, num, label, ok, details=""):
         print(f"\nacceptance {num} {label}: {'PASS' if ok else 'FAIL'}{tail}")
 
 
-def _cache_path(name):
-    root = os.environ.get("CAPINV_ACCEPT_CACHE")
-    if not root:
-        return None
-    path = pathlib.Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / name
-
-
-def _cached_dataset(name, build):
-    path = _cache_path(name)
-    if path is not None and path.exists():
-        return load_dataset(path)
-    dataset = build()
-    if path is not None:
-        save_dataset(dataset, path)
-    return dataset
-
-
-def _cached_model(name, kind, fields, config):
-    path = _cache_path(name)
-    if path is not None and path.exists():
-        return load_model(path)
-    model, _ = train_generative(kind, fields, config, seed=MODEL_SEED)
-    if path is not None:
-        save_model(model, path)
-    return model
-
-
 @pytest.fixture(scope="session")
 def full_train():
-    return _cached_dataset("train_full.ds", lambda: generate_dataset(np.asarray(TRAIN_D)))
+    return generate_dataset(np.asarray(TRAIN_D))
 
 
 @pytest.fixture(scope="session")
 def full_test():
-    return _cached_dataset("test_full.ds", lambda: generate_dataset(np.asarray(TEST_D)))
+    return generate_dataset(np.asarray(TEST_D))
 
 
 @pytest.fixture(scope="session")
 def benchmark_models(full_train):
-    momentum = GenerativeTrainConfig(optimizer="momentum")
-    adam = GenerativeTrainConfig(optimizer="adam")
-    return {
-        "ae": _cached_model("ae_m.model", "ae", full_train.fields, momentum),
-        "vae": _cached_model("vae_m.model", "vae", full_train.fields, momentum),
-        "vae_adam": _cached_model("vae_a.model", "vae", full_train.fields, adam),
-    }
+    # The three paper trainings run in a pool, the Adam vae (the longest)
+    # first, so that on two workers the two Momentum trainings share the
+    # other. spawn, not fork: a spawned worker does not inherit this
+    # process's OpenBLAS state, and a training outlasts its numpy import.
+    # The pool is closed before the fixture returns, so no worker runs
+    # while criterion 8 times the inverse stage.
+    configs = {"vae_adam": ("vae", "adam"), "ae": ("ae", "momentum"), "vae": ("vae", "momentum")}
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(_worker_count(len(configs)), mp_context=context) as pool:
+        futures = {
+            name: pool.submit(train_generative, kind, full_train.fields,
+                              GenerativeTrainConfig(optimizer=optimizer), seed=MODEL_SEED)
+            for name, (kind, optimizer) in configs.items()
+        }
+        return {name: future.result()[0] for name, future in futures.items()}
 
 
 @pytest.fixture(scope="session")

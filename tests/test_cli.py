@@ -134,6 +134,23 @@ class TestExitCodes:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep"])
+    def test_a_size_no_machine_can_allocate_exits_one(self, workdir, tmp_path, capsys, command):
+        # 10**16 float64 values exceed any address space, so numpy refuses
+        # them without allocating anything.
+        huge, out = str(10**16), tmp_path / "out"
+        config = tmp_path / "timing.cfg"
+        config.write_text(f"train_data={workdir / 'train.ds'}\nout_dir={out}\ntest_d=\ntiming_reps={huge}\n")
+        argv = {
+            "generate": ["generate", "--out", str(out), "--count", huge],
+            "train": ["train", "--kind", "ae", "--data", str(workdir / "train.ds"), "--out", str(out),
+                      "--iters", huge],
+            "sweep": ["sweep", "--config", str(config)],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_writes_loadable_dataset(self, workdir):
@@ -390,6 +407,12 @@ class TestSweep:
         config.write_text(f"train_data={tmp_path / 'no.ds'}\ntest_data=y\nout_dir=z\n{line}\n")
         assert main(["sweep", "--config", str(config)]) == 1
         assert f"error: {config}: {line.split('=')[0]}: " in capsys.readouterr().err
+
+    def test_non_ascii_config_fails_naming_its_path(self, tmp_path, capsys):
+        config = tmp_path / "cafe.cfg"
+        config.write_bytes("train_data=x\ntest_data=y\nout_dir=z\n# caf\u00e9\n".encode("utf-8"))
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: 'ascii' codec can't decode byte 0xc3 ")
 
     def test_unknown_key_rejected(self, workdir, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -8,11 +8,13 @@ mean head defines.
 """
 
 import math
+import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -436,6 +438,18 @@ class TestBlasThreads:
             digests[threads] = dict(zip(("model", "encode"), out))
         assert digests["1"]["model"] == digests["2"]["model"]
         assert digests["1"]["encode"] == digests["2"]["encode"]
+
+    def test_a_spawned_worker_trains_the_same_bytes(self):
+        # The acceptance models are trained in a spawn pool; a fresh
+        # interpreter must train what this process does, bit for bit.
+        config = GenerativeTrainConfig(optimizer="adam", max_iterations=200, minibatch_size=10,
+                                       latent_dim=5, hidden_dim=40)
+        data = toy_fields(40, 121, seed=4)
+        here, _ = train_generative("vae", data, config, seed=2)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            there, _ = pool.submit(train_generative, "vae", data, config, seed=2).result()
+        params = TestStepGradients.params_of
+        assert [p.tobytes() for p in params(there)] == [p.tobytes() for p in params(here)]
 
     @pytest.mark.skipif(network._openblas_thread_control() is None, reason="no OpenBLAS thread-count symbol found")
     def test_training_restores_the_callers_thread_count(self, monkeypatch):

@@ -6,7 +6,8 @@ int, nan, inf, empty, signed, padded and a non-ASCII digit. Every mutant
 either loads, and then survives a save and a second load unchanged, or
 raises ValueError whose message starts with "{path}: ". Through cli.main
 the same files exit 0 or 1, a refused one with that message, and never
-with a traceback.
+with a traceback. Each `key = value` of a small sweep config is set to the
+same values, and `capinv sweep` on it exits 0, or 1 with one error line.
 """
 
 import dataclasses
@@ -28,6 +29,10 @@ NAMED = {
     ("regression", "anchor_d", "-1"): "anchor_d must be finite and lie in [0, 1], got -1.0",
     ("regression", "anchor_d", "inf"): "anchor_d must be finite and lie in [0, 1], got inf",
     ("regression", "fit_residual", "-1"): "fit_residual must be nonnegative, got -1.0",
+    **{("model", "layers", value): f"mlp layers must be at least two nonnegative sizes, got {int(value)}"
+       for value in ("-1", "0", str(10**16), "+2")},
+    **{("model", "activations", value): f"mlp activations must give one name per layer (2), got {value!r}"
+       for value in ("-1", "0", str(10**16), "1e3", "nan", "inf", "", "+2")},
 }
 
 LOAD = {"dataset": fields.load_dataset, "model": generative.load_model, "regression": inverse.load_pipeline}
@@ -104,3 +109,48 @@ def test_every_header_value_loads_or_fails_by_name(artifacts, capsys, kind):
             else:
                 assert (code, err) == (1, f"error: {message}\n"), where
     assert outcomes["loaded"] > 0 and outcomes["refused"] > 0, outcomes
+
+
+@pytest.fixture(scope="module")
+def sweep_config(tmp_path_factory):
+    """A small sweep config over saved fine_n=21 sets and an untrained model."""
+    root = tmp_path_factory.mktemp("sweep")
+    train = fields.generate_dataset(np.linspace(0.2, 0.8, 4), fine_n=21)
+    fields.save_dataset(train, root / "train.ds")
+    fields.save_dataset(fields.generate_dataset((0.3, 0.6), fine_n=21), root / "test.ds")
+    model = generative.build_model("ae", train.fields.shape[1], 6, 2, np.random.default_rng(5))
+    generative.save_model(model, root / "ae.model")
+    return (
+        f"train_data = {root / 'train.ds'}\n"
+        f"test_data = {root / 'test.ds'}\n"
+        "out_dir = out\n"
+        "approaches = fullspace,ae\n"
+        f"model_ae = {root / 'ae.model'}\n"
+        "optimizer_ae = adam\n"
+        "noise_levels = 0.1,0.5\n"
+        "test_d = 0.3,0.6\n"
+        "seeds = 0,1\n"
+        "keep_fields_d = 0.3\n"
+        "corrupt_field_first = no\n"
+        "timing_reps = 1\n"
+    )
+
+
+def test_every_sweep_config_value_runs_or_fails_by_name(sweep_config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # out_dir is mutated too, and relative
+    sites = [(m.start(2), m.end(2), m.group(1)) for m in re.finditer(r"^(\w+) = (.*)$", sweep_config, re.M)]
+    assert len(sites) == sweep_config.count("\n")  # every line of the config is covered
+    path = tmp_path / "mutant.cfg"
+    outcomes = {0: 0, 1: 0}
+    for start, end, key in sites:
+        for value in VALUES:
+            path.write_bytes((sweep_config[:start] + value + sweep_config[end:]).encode("utf-8"))
+            where = f"sweep {key}={value!r}"
+            code = main(["sweep", "--config", str(path)])
+            err = capsys.readouterr().err
+            assert code in outcomes, where
+            assert "Traceback" not in err, where
+            if code == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, f"{where}: {err}"
+            outcomes[code] += 1
+    assert outcomes[0] > 0 and outcomes[1] > 0, outcomes
