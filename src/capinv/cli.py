@@ -284,7 +284,10 @@ def _cmd_sweep(args) -> int:
         model = generative.load_model(cfg[model_key])
         tag = cfg.get(f"optimizer_{name}", generative.GenerativeTrainConfig.optimizer)
         pipelines[name] = inverse.fit_pipeline("latent", train_set, model=model, optimizer_tag=tag)
-    result = experiments.run_noise_sweep(sweep_config, pipelines, test_set)
+    try:  # a cell records its own error, so what escapes is about the test set
+        result = experiments.run_noise_sweep(sweep_config, pipelines, test_set)
+    except ValueError as exc:
+        raise ValueError(f"{cfg['test_data']}: {exc}") from None
     timing = None
     if cfg.get("timing_reps") != 0:
         reps = {"repetitions": cfg["timing_reps"]} if "timing_reps" in cfg else {}

@@ -113,7 +113,7 @@ class SweepResult:
 def _match_d(values: np.ndarray, d: float) -> int:
     hits = np.flatnonzero(np.isclose(values, d, rtol=0.0, atol=1e-9))
     if hits.size == 0:
-        raise ValueError(f"no groundtruth field for d={d!r}")
+        raise ValueError(f"no groundtruth field for test_d={d!r}")
     return int(hits[0])
 
 
@@ -123,7 +123,9 @@ def run_noise_sweep(config: SweepConfig, pipelines: dict, test_set: Dataset) -> 
     A failing cell records the error message and a NaN ssd instead of
     aborting the sweep. Cells are emitted in a fixed deterministic order
     (approach, then d, then e, then seed), and every cell is independent,
-    so the result does not depend on evaluation order.
+    so the result does not depend on evaluation order. A missing
+    groundtruth separation, or a pipeline of another grid than the test
+    set, fails before the first cell.
     """
     cells: list[SweepCell] = []
     truth: list[tuple[float, np.ndarray]] = []
@@ -134,6 +136,10 @@ def run_noise_sweep(config: SweepConfig, pipelines: dict, test_set: Dataset) -> 
         if keep and all(t != d for t, _ in truth):
             truth.append((float(d), reference.values))
         targets.append((d, reference, keep))
+    for name, pipeline in pipelines.items():
+        if targets and pipeline.grid_n != test_set.grid_n:
+            raise ValueError(f"pipeline {name!r} has grid {pipeline.grid_n}, "
+                             f"but the test set has grid {test_set.grid_n}")
     for name, pipeline in pipelines.items():
         # recover_field in two steps: the start of an (e, seed) does not
         # depend on d, so it is drawn once and shared by every separation.
@@ -238,11 +244,8 @@ def run_timing(pipelines: dict, dataset: Dataset, repetitions: int = 100) -> lis
             features = dataset.fields
             encoder_ms = decoder_ms = None
         else:
-            model = pipe.model
-            if model is None:
-                raise ValueError(f"pipeline {name!r} has no generative model attached")
-            features = encode(model, dataset.fields)
-            encoder_ms = _median_ms(lambda: encode(model, pipe.anchor_field), repetitions)
+            features = encode(pipe.model, dataset.fields)
+            encoder_ms = _median_ms(lambda: encode(pipe.model, pipe.anchor_field), repetitions)
         regression_ms = _median_ms(
             lambda: fit_regression(features, dataset.d, space=pipe.approach), repetitions
         )

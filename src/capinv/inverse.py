@@ -221,9 +221,9 @@ class InversePipeline:
     field nearest d = 0.5 for fullspace, that same field's encoding for
     latent. anchor_field keeps the underlying field either way so noise
     can alternatively be applied before encoding. Construction checks
-    every width against grid_n and phi, and a latent model's against both,
-    and that anchor_d is a separation in [0, 1]. The approach is the
-    regression's search space.
+    every width against grid_n and phi, that a latent regression comes with
+    its model and the model's widths match both, and that anchor_d is a
+    separation in [0, 1]. The approach is the regression's search space.
     """
 
     regression: RegressionModel
@@ -254,7 +254,9 @@ class InversePipeline:
         if self.approach == "fullspace":
             if width != cells:
                 raise ValueError(f"fullspace phi has {width} entries, expected {cells} for grid {self.grid_n}")
-        elif self.model is not None and (self.model.input_dim, self.model.latent_dim) != (cells, width):
+        elif self.model is None:
+            raise ValueError("a latent regression needs the generative model it was fitted with")
+        elif (self.model.input_dim, self.model.latent_dim) != (cells, width):
             raise ValueError(
                 f"model widths {self.model.input_dim}->{self.model.latent_dim} do not match "
                 f"grid {self.grid_n} ({cells} cells) and phi width {width}"
@@ -284,10 +286,6 @@ def fit_pipeline(
     else:
         if model is None:
             raise ValueError("the latent approach requires a generative model")
-        if model.input_dim != dataset.fields.shape[1]:
-            raise ValueError(
-                f"model input width {model.input_dim} does not match dataset width {dataset.fields.shape[1]}"
-            )
         features = encode(model, dataset.fields)
         anchor = features[anchor_idx].copy()
     regression = fit_regression(features, dataset.d, space=approach)
@@ -324,10 +322,7 @@ def _noisy_start(pipeline: InversePipeline, noise_e: float, seed: int, corrupt_f
     """recover_field's initial estimate. It depends on the pipeline, noise_e,
     seed and corrupt_field_first only, and no later step writes to it, so a
     caller may share one start across target separations."""
-    latent = pipeline.approach == "latent"
-    if latent and pipeline.model is None:
-        raise ValueError("latent pipeline has no generative model attached")
-    if latent and corrupt_field_first:
+    if pipeline.approach == "latent" and corrupt_field_first:
         return encode(pipeline.model, add_awgn(pipeline.anchor_field, noise_e, seed))
     return add_awgn(pipeline.anchor, noise_e, seed)
 
@@ -350,13 +345,14 @@ def save_pipeline(pipeline: InversePipeline, path) -> None:
     scalars = {"intercept": reg.intercept, "fit_residual": reg.fit_residual, "anchor_d": pipeline.anchor_d}
     with _writing(path) as fh:
         fh.write(_header("regression", head) + "\n")
-        fh.writelines(f"{key}={float(value)!r}\n" for key, value in scalars.items())
+        fh.writelines(_header("", {key: repr(float(value))}) + "\n" for key, value in scalars.items())
         for tag, vec in (("phi", reg.phi), ("anchor", pipeline.anchor), ("anchor_field", pipeline.anchor_field)):
             fh.write(_vector(tag, vec))
 
 
 def load_pipeline(path, model: GenerativeModel | None = None) -> InversePipeline:
-    """Read a save_pipeline artifact; attach the generative model if given."""
+    """Read a save_pipeline artifact. A latent artifact loads only with model,
+    the generative model it was fitted with."""
     with _reading(path, "regression artifact") as lines:
         head = lines.header("regression", {"space": str, "grid": int})
         scalar = {key: lines.header("", {key: float})[key] for key in ("intercept", "fit_residual", "anchor_d")}

@@ -33,8 +33,16 @@ def _row(values) -> str:
 
 
 def _header(tag: str, fields: dict, sep: str = " ") -> str:
-    """`tag key=value ...`, or just the items when tag is empty."""
-    return sep.join(([tag] if tag else []) + [f"{key}={value}" for key, value in fields.items()])
+    """`tag key=value ...`, or just the items when tag is empty. A value whose
+    text holds sep or a line break would not split back, so it is refused."""
+    items = []
+    for key, value in fields.items():
+        text = str(value)
+        for bad in (sep, "\n", "\r"):
+            if bad in text:
+                raise ValueError(f"cannot write {key}={text!r}: a header value must not hold {bad!r}")
+        items.append(f"{key}={text}")
+    return sep.join(([tag] if tag else []) + items)
 
 
 def _field_block(meta: dict, values) -> str:

@@ -29,12 +29,15 @@ def pipeline(approach, dataset, width):
     rng = np.random.default_rng(17)
     regression = RegressionModel(space=approach, phi=rng.normal(size=width), intercept=0.25, fit_residual=1e-3)
     anchor = dataset.fields[1] if approach == "fullspace" else rng.normal(size=width)
+    # A latent pipeline is built with its model; the artifact does not hold it.
+    model = None if approach == "fullspace" else build_model("ae", dataset.fields.shape[1], 5, width, rng=rng)
     return InversePipeline(
         regression=regression,
         anchor_d=float(dataset.d[1]),
         anchor=anchor,
         anchor_field=dataset.fields[1],
         grid_n=dataset.grid_n,
+        model=model,
         optimizer_tag="-" if approach == "fullspace" else "adam",
     )
 

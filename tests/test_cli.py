@@ -90,9 +90,15 @@ class TestExitCodes:
         assert main(["generate", "--bogus"]) == 2
         capsys.readouterr()
 
-    def test_help_exits_zero(self, capsys):
-        assert main(["--help"]) == 0
-        assert "{generate,train,invert,sweep}" in capsys.readouterr().out
+    # argparse formats a subcommand's help only when it prints it.
+    @pytest.mark.parametrize("command", ["", "generate", "train", "invert", "sweep"],
+                             ids=lambda command: command or "capinv")
+    def test_help_exits_zero(self, capsys, command):
+        assert main([*command.split(), "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: capinv {command}".rstrip())
+        if not command:
+            assert "{generate,train,invert,sweep}" in out
 
     @pytest.mark.parametrize("command", ["generate", "train"])
     def test_help_names_each_library_default(self, capsys, command):
@@ -169,6 +175,11 @@ class TestGenerate:
         d_values = np.linspace(fields.TRAIN_D[0], fields.TRAIN_D[-1], 2)
         fields.save_dataset(fields.generate_dataset(d_values, fine_n=41), want)
         assert out.read_bytes() == want.read_bytes()
+
+    def test_count_must_be_positive(self, tmp_path, capsys):
+        assert main(["generate", "--out", str(tmp_path / "x.ds"), "--count", "0"]) == 1
+        assert "error: --count must be positive, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.ds").exists()
 
     def test_bad_range_rejected(self, tmp_path, capsys):
         code = main(["generate", "--out", str(tmp_path / "x.ds"), "--d-min", "0.9",
@@ -262,6 +273,26 @@ class TestInvert:
         assert main(base + ["--data", str(workdir / "train.ds"),
                             "--regression", str(tmp_path / "nope.reg")]) == 1
         capsys.readouterr()
+
+    def test_save_regression_needs_data(self, workdir, tmp_path, capsys):
+        reg = tmp_path / "full.reg"
+        assert main(["invert", "--approach", "fullspace", "--data", str(workdir / "train.ds"),
+                     "--save-regression", str(reg), "--d", "0.5", "--out", str(tmp_path / "a.field")]) == 0
+        capsys.readouterr()
+        assert main(["invert", "--approach", "fullspace", "--regression", str(reg), "--save-regression",
+                     str(tmp_path / "again.reg"), "--d", "0.5", "--out", str(tmp_path / "b.field")]) == 1
+        assert "error: --save-regression needs --data" in capsys.readouterr().err
+        assert not (tmp_path / "again.reg").exists()
+
+    def test_latent_artifact_needs_its_model(self, workdir, tmp_path, capsys):
+        reg = tmp_path / "vae.reg"
+        assert main(["invert", "--approach", "latent", "--model", str(workdir / "vae.model"), "--data",
+                     str(workdir / "train.ds"), "--save-regression", str(reg), "--d", "0.5",
+                     "--out", str(tmp_path / "a.field")]) == 0
+        capsys.readouterr()
+        assert main(["invert", "--approach", "fullspace", "--regression", str(reg),
+                     "--d", "0.5", "--out", str(tmp_path / "b.field")]) == 1
+        assert f"error: {reg}: a latent regression needs the generative model" in capsys.readouterr().err
 
     def test_latent_requires_model(self, workdir, tmp_path, capsys):
         code = main(["invert", "--approach", "latent", "--data", str(workdir / "train.ds"),
@@ -413,6 +444,29 @@ class TestSweep:
         config.write_bytes("train_data=x\ntest_data=y\nout_dir=z\n# caf\u00e9\n".encode("utf-8"))
         assert main(["sweep", "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {config}: 'ascii' codec can't decode byte 0xc3 ")
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("train_data=x\ntest_data=y\nout_dir=z\nseeds 0\n")
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert f"error: {config}:4: expected key=value, got 'seeds 0'" in capsys.readouterr().err
+
+    def test_test_set_errors_name_the_test_data(self, workdir, tmp_path, capsys):
+        coarse = tmp_path / "coarse.ds"
+        assert main(["generate", "--out", str(coarse), "--count", "2", "--fine-n", "41", "--coarse-n", "11"]) == 0
+        capsys.readouterr()
+        cases = {
+            f"test_data={workdir / 'test.ds'}\ntest_d=0.31\n":
+                f"error: {workdir / 'test.ds'}: no groundtruth field for test_d=0.31",
+            f"test_data={coarse}\ntest_d=0.1\n":
+                f"error: {coarse}: pipeline 'fullspace' has grid 21, but the test set has grid 11",
+        }
+        for lines, error in cases.items():
+            config = tmp_path / "sweep.cfg"
+            config.write_text(f"train_data={workdir / 'train.ds'}\nout_dir={tmp_path / 'o'}\ntiming_reps=0\n{lines}")
+            assert main(["sweep", "--config", str(config)]) == 1
+            assert capsys.readouterr().err == error + "\n"
+            assert not (tmp_path / "o").exists()
 
     def test_unknown_key_rejected(self, workdir, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capinv.fields import FieldGrid
+from capinv.fields import Dataset, FieldGrid
 from capinv.experiments import (
     EXPORT_NAMES,
     TIMING_STAGES,
@@ -115,6 +115,12 @@ class TestRunNoiseSweep:
         with pytest.raises(ValueError, match="no groundtruth"):
             run_noise_sweep(config, unit_pipelines, unit_test_set)
 
+    def test_a_test_set_of_another_grid_fails_before_any_cell(self, unit_pipelines, unit_test_set, monkeypatch):
+        coarse = Dataset(grid_n=11, v0=1.0, d=unit_test_set.d, fields=np.zeros((len(unit_test_set), 121)))
+        monkeypatch.setattr(inverse, "add_awgn", None)  # no cell may run
+        with pytest.raises(ValueError, match="^pipeline 'fullspace' has grid 21, but the test set has grid 11$"):
+            run_noise_sweep(self.CONFIG, unit_pipelines, coarse)
+
 
 class TestSharedStarts:
     """run_noise_sweep draws each (approach, e, seed) start once for all d;
@@ -148,14 +154,12 @@ class TestSharedStarts:
         broken = {
             "zero_phi": dataclasses.replace(
                 full, regression=RegressionModel("fullspace", np.zeros_like(full.regression.phi), 2.0, 0.0)),
-            "no_model": dataclasses.replace(unit_pipelines["ae"], model=None),
         }
         config = dataclasses.replace(self.CONFIG, corrupt_field_first=corrupt_field_first)
         result = run_noise_sweep(config, broken, unit_test_set)
-        assert len(result.cells) == 2 * 3 * 3 * 2
+        assert len(result.cells) == 3 * 3 * 2
         for cell in result.cells:
-            kind = InversionError if cell.approach == "zero_phi" else ValueError
-            with pytest.raises(kind) as want:
+            with pytest.raises(InversionError) as want:
                 recover_field(broken[cell.approach], cell.d, cell.e, cell.seed,
                               corrupt_field_first=corrupt_field_first)
             assert cell.error == str(want.value)
@@ -316,6 +320,13 @@ class TestExport:
             export_results(dataclasses.replace(small_result, cells=[*small_result.cells[:-1], bad]), tmp_path)
         assert Path(paths[4]).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(EXPORT_NAMES)
+
+    def test_a_tag_holding_a_comma_is_refused(self, tmp_path, small_result):
+        # fig6's meta lines are comma-separated key=value items.
+        cells = [dataclasses.replace(c, optimizer="a,b") for c in small_result.cells]
+        with pytest.raises(ValueError, match="^cannot write optimizer='a,b': a header value must not hold ','$"):
+            export_results(dataclasses.replace(small_result, cells=cells), tmp_path)
+        assert not (tmp_path / EXPORT_NAMES[0]).exists()
 
     def test_nan_cells_survive_the_round_trip(self, tmp_path):
         cells = [SweepCell(approach="a", optimizer="-", d=0.5, e=0.1, seed=0,

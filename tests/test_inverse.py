@@ -10,6 +10,7 @@ which pins down the loop arithmetic.
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from capinv.inverse import (
     recover_field,
     save_pipeline,
 )
+from capinv.network import Mlp
 
 
 def projection(phi, intercept, target, x0):
@@ -361,13 +363,24 @@ class TestPipeline:
         assert not np.array_equal(a.values, c.values)
 
     def test_recover_without_model_fails(self, unit_train):
+        # A latent pipeline without its model is refused when it is built.
         pipe = fit_pipeline("fullspace", unit_train)
-        broken = InversePipeline(
-            regression=dataclasses.replace(pipe.regression, space="latent"), anchor_d=pipe.anchor_d,
-            anchor=pipe.anchor, anchor_field=pipe.anchor_field, grid_n=pipe.grid_n,
-        )
-        with pytest.raises(ValueError):
-            recover_field(broken, 0.5, 0.0, seed=0)
+        with pytest.raises(ValueError, match="^a latent regression needs the generative model it was fitted with$"):
+            InversePipeline(
+                regression=dataclasses.replace(pipe.regression, space="latent"), anchor_d=pipe.anchor_d,
+                anchor=pipe.anchor, anchor_field=pipe.anchor_field, grid_n=pipe.grid_n,
+            )
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("fullspace", {"anchor": np.zeros(440)}, r"anchor has shape \(440,\), expected \(441,\) like phi"),
+        ("fullspace", {"regression": RegressionModel("fullspace", np.ones(9), 0.5, 0.0), "anchor": np.zeros(9)},
+         "fullspace phi has 9 entries, expected 441 for grid 21"),
+        ("ae", {"model": generative.build_model("ae", 441, 4, 3, np.random.default_rng(0))},
+         r"model widths 441->3 do not match grid 21 \(441 cells\) and phi width 10"),
+    ], ids=["anchor", "fullspace-phi", "latent-model"])
+    def test_every_width_is_checked_at_construction(self, unit_pipelines, name, change, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(unit_pipelines[name], **change)
 
     @pytest.mark.parametrize("anchor_d", [math.nan, math.inf, -1.0, 1.5])
     def test_anchor_d_outside_the_unit_interval_rejected(self, unit_train, anchor_d):
@@ -381,30 +394,51 @@ class TestPipeline:
             fit_pipeline("fullspace", ds)
 
 
+def _zero_width_model():
+    """An ae whose hidden layers have no units, so each first bias row is empty."""
+    def mlp(fan_in, fan_out):
+        return Mlp(weights=[np.zeros((fan_in, 0)), np.zeros((0, fan_out))],
+                   biases=[np.zeros(0), np.zeros(fan_out)], activations=("tanh", "linear"))
+
+    return generative.GenerativeModel("ae", mlp(4, 2), mlp(2, 4), latent_dim=2)
+
+
 class TestPipelineSerialization:
     def test_empty_vector_is_refused(self, tmp_path):
         # A blank row line would read back as the next line's row.
-        empty = InversePipeline(
-            regression=RegressionModel(space="latent", phi=np.zeros(0), intercept=0.5, fit_residual=0.0),
-            anchor_d=0.5, anchor=np.zeros(0), anchor_field=np.zeros(4), grid_n=2,
-        )
-        with pytest.raises(ValueError, match="empty vector 'phi'"):
-            save_pipeline(empty, tmp_path / "empty.reg")
+        with pytest.raises(ValueError, match="empty vector 'biases'"):
+            generative.save_model(_zero_width_model(), tmp_path / "empty.model")
 
     def test_failed_save_leaves_the_target_as_it_was(self, tmp_path):
-        empty = InversePipeline(
-            regression=RegressionModel(space="latent", phi=np.zeros(0), intercept=0.5, fit_residual=0.0),
-            anchor_d=0.5, anchor=np.zeros(0), anchor_field=np.zeros(4), grid_n=2,
-        )
-        kept = tmp_path / "kept.reg"
+        empty = _zero_width_model()
+        kept = tmp_path / "kept.model"
         kept.write_bytes(b"earlier artifact\n")
-        for path in (kept, tmp_path / "new.reg"):
-            with pytest.raises(ValueError, match="empty vector 'phi'"):
-                save_pipeline(empty, path)
+        for path in (kept, tmp_path / "new.model"):
+            with pytest.raises(ValueError, match="empty vector 'biases'"):
+                generative.save_model(empty, path)
         assert kept.read_bytes() == b"earlier artifact\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.reg"]
-        with pytest.raises(FileNotFoundError, match=r"missing/new\.reg'$"):
-            save_pipeline(empty, tmp_path / "missing" / "new.reg")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.model"]
+        with pytest.raises(FileNotFoundError, match=r"missing/new\.model'$"):
+            generative.save_model(empty, tmp_path / "missing" / "new.model")
+
+    @pytest.mark.parametrize("tag", ["my tag", "x\ny", "x\ry"])
+    def test_a_tag_that_would_not_read_back_is_refused(self, tmp_path, tag):
+        pipe = fit_pipeline("fullspace", synthetic_dataset([0.2, 0.5, 0.8]), optimizer_tag=tag)
+        with pytest.raises(ValueError, match=f"^cannot write optimizer={re.escape(repr(tag))}: "):
+            save_pipeline(pipe, tmp_path / "tag.reg")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("tag", ["a=b", ""])
+    def test_a_tag_with_an_equals_sign_or_none_round_trips(self, tmp_path, tag):
+        path = tmp_path / "tag.reg"
+        save_pipeline(fit_pipeline("fullspace", synthetic_dataset([0.2, 0.5, 0.8]), optimizer_tag=tag), path)
+        assert load_pipeline(path).optimizer_tag == tag
+
+    def test_latent_artifact_loads_only_with_its_model(self, tmp_path, unit_pipelines):
+        path = tmp_path / "latent.reg"
+        save_pipeline(unit_pipelines["ae"], path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: a latent regression needs "):
+            load_pipeline(path)
 
     def test_round_trip_is_bit_exact(self, tmp_path, unit_train, unit_vae):
         model, _ = unit_vae
