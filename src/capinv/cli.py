@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import math
 import sys
@@ -22,42 +23,6 @@ _USAGE_ERRORS = (
     OSError,
     MemoryError,  # a size no machine can allocate, such as --count 10**16
 )
-
-
-def _defaults(*owners) -> dict:
-    """The keyword defaults of functions or dataclasses, by parameter name."""
-    return {
-        name: param.default
-        for owner in owners
-        for name, param in inspect.signature(owner).parameters.items()
-        if param.default is not param.empty
-    }
-
-
-def _library_flags(parser, *owners):
-    """An adder of flags for the keyword parameters of owners.
-
-    A flag that is left out sets nothing, so the owner's own default holds.
-    The help text shows that default, or, where it is None, says in its own
-    words what the library picks.
-    """
-    defaults = _defaults(*owners)
-
-    def flag(name, kind, text, dest=None, **kwargs):
-        if dest is None:
-            dest = name[2:].replace("-", "_")
-        else:
-            kwargs["metavar"] = name[2:].upper()  # named after the flag, not the parameter
-        if defaults[dest] is not None:
-            text = f"{text} (default {defaults[dest]})"
-        parser.add_argument(name, type=kind, dest=dest, default=argparse.SUPPRESS, help=text, **kwargs)
-
-    return flag
-
-
-def _given(options: dict, *owners) -> dict:
-    """The entries of options that set a keyword parameter of owners."""
-    return {name: options[name] for name in _defaults(*owners) if name in options}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,34 +46,40 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore --d-min/--d-max/--count and build the benchmark evaluation set "
         f"(d = {', '.join(str(d) for d in fields.TEST_D)})",
     )
-    flag = _library_flags(p, fields.CapacitorConfig, fields.solve_sor)
-    flag("--a", float, "left plate edge")
-    flag("--b", float, "right plate edge")
-    flag("--v0", float, "plate potential magnitude")
-    flag("--fine-n", int, "solve resolution per side")
-    flag("--coarse-n", int, "stored resolution per side")
-    flag("--omega", float, "SOR relaxation factor (default: optimal for --fine-n)")
-    flag("--tol", float, "SOR stopping tolerance (default: scaled to --v0 by the solver)")
-    flag("--max-sweeps", int, "SOR sweep budget")
-    p.set_defaults(func=_cmd_generate)
+    geometry = fields.CapacitorConfig
+    p.add_argument("--a", type=float, default=geometry.a, help="left plate edge (default %(default)s)")
+    p.add_argument("--b", type=float, default=geometry.b, help="right plate edge (default %(default)s)")
+    p.add_argument("--v0", type=float, default=geometry.v0, help="plate potential magnitude (default %(default)s)")
+    p.add_argument("--fine-n", type=int, default=geometry.fine_n,
+                   help="solve resolution per side (default %(default)s)")
+    p.add_argument("--coarse-n", type=int, default=geometry.coarse_n,
+                   help="stored resolution per side (default %(default)s)")
+    p.add_argument("--omega", type=float, help="SOR relaxation factor (default: optimal for --fine-n)")
+    p.add_argument("--tol", type=float, help="SOR stopping tolerance (default: scaled to --v0 by the solver)")
+    p.add_argument("--max-sweeps", type=int,
+                   default=inspect.signature(fields.solve_sor).parameters["max_sweeps"].default,
+                   help="SOR sweep budget (default %(default)s)")
 
     p = sub.add_parser("train", help="train a generative model on a dataset")
     p.add_argument("--kind", required=True, choices=generative.KINDS, help="model kind")
     p.add_argument("--data", required=True, help="training dataset (from `capinv generate`)")
     p.add_argument("--out", required=True, help="model file to write")
-    flag = _library_flags(p, generative.GenerativeTrainConfig, generative.train_generative)
-    flag("--optimizer", str, "optimizer", choices=sorted(DEFAULT_LEARNING_RATES))
+    training = generative.GenerativeTrainConfig
+    p.add_argument("--optimizer", default=training.optimizer, choices=sorted(DEFAULT_LEARNING_RATES),
+                   help="optimizer (default %(default)s)")
     rates = ", ".join(f"{rate:g} for {name}" for name, rate in DEFAULT_LEARNING_RATES.items())
-    flag("--lr", float, f"learning rate (default: {rates})", dest="learning_rate")
-    flag("--iters", int, "training iterations", dest="max_iterations")
-    flag("--batch", int, "minibatch size", dest="minibatch_size")
-    flag("--latent", int, "latent width", dest="latent_dim")
-    flag("--hidden", int, "hidden width", dest="hidden_dim")
-    flag("--beta", float, "divergence weight for vae")
-    flag("--seed", int, "training seed")
+    p.add_argument("--lr", type=float, help=f"learning rate (default: {rates})")
+    p.add_argument("--iters", type=int, default=training.max_iterations,
+                   help="training iterations (default %(default)s)")
+    p.add_argument("--batch", type=int, default=training.minibatch_size, help="minibatch size (default %(default)s)")
+    p.add_argument("--latent", type=int, default=training.latent_dim, help="latent width (default %(default)s)")
+    p.add_argument("--hidden", type=int, default=training.hidden_dim, help="hidden width (default %(default)s)")
+    p.add_argument("--beta", type=float, default=training.beta, help="divergence weight for vae (default %(default)s)")
+    p.add_argument("--seed", type=int,
+                   default=inspect.signature(generative.train_generative).parameters["seed"].default,
+                   help="training seed (default %(default)s)")
     p.add_argument("--history", default=None,
                    help="loss history file (default: <out>.history.csv)")
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("invert", help="recover a field for a target separation")
     p.add_argument("--approach", required=True, choices=inverse.SPACES, help="search space")
@@ -124,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt-field-first", action="store_true",
                    help="latent only: corrupt the anchor field before encoding instead of the code")
     p.add_argument("--out", required=True, help="recovered field file to write")
-    p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser(
         "sweep",
@@ -135,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         "timing_reps (0 disables timing); corrupt_field_first (true/false/yes/no/1/0).",
     )
     p.add_argument("--config", required=True, help="key=value config file (one pair per line, # comments)")
-    p.set_defaults(func=_cmd_sweep)
     return parser
 
 
@@ -148,17 +117,22 @@ def _cmd_generate(args) -> int:
         if args.d_min > args.d_max:
             raise ValueError(f"--d-min {args.d_min} exceeds --d-max {args.d_max}")
         d_values = np.linspace(args.d_min, args.d_max, args.count)
-    dataset = fields.generate_dataset(d_values, **_given(vars(args), fields.CapacitorConfig, fields.solve_sor))
+    dataset = fields.generate_dataset(
+        d_values, a=args.a, b=args.b, v0=args.v0, fine_n=args.fine_n, coarse_n=args.coarse_n,
+        omega=args.omega, tol=args.tol, max_sweeps=args.max_sweeps,
+    )
     fields.save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} fields ({dataset.grid_n}x{dataset.grid_n}) to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    config = generative.GenerativeTrainConfig(**_given(vars(args), generative.GenerativeTrainConfig))
+    config = generative.GenerativeTrainConfig(
+        optimizer=args.optimizer, learning_rate=args.lr, max_iterations=args.iters, minibatch_size=args.batch,
+        beta=args.beta, latent_dim=args.latent, hidden_dim=args.hidden,
+    )
     dataset = fields.load_dataset(args.data)
-    seed = _given(vars(args), generative.train_generative)  # {} or {"seed": ...}
-    model, history = generative.train_generative(args.kind, dataset.fields, config, **seed)
+    model, history = generative.train_generative(args.kind, dataset.fields, config, seed=args.seed)
     generative.save_model(model, args.out)
     history_path = args.history if args.history is not None else f"{args.out}.history.csv"
     with _writing(history_path) as fh:
@@ -225,6 +199,13 @@ def _nonnegative(kind):
     return parse
 
 
+def _tag(text: str) -> str:
+    """An optimizer tag, which the fig6 export writes into a ','-separated meta line."""
+    if "," in text:
+        raise ValueError(f"must not hold ',', got {text!r}")
+    return text
+
+
 # The parser of each fixed sweep config key. A key absent from the file keeps
 # the default of the SweepConfig field or run_timing argument it feeds.
 _SWEEP_KEYS = {
@@ -249,7 +230,9 @@ def _parse_sweep_config(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = line.split("=", 1)
         key = key.strip()
-        parse = _SWEEP_KEYS.get(key, str if key.startswith(("model_", "optimizer_")) else None)
+        parse = _SWEEP_KEYS.get(
+            key, str if key.startswith("model_") else _tag if key.startswith("optimizer_") else None
+        )
         if parse is None:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
@@ -267,7 +250,9 @@ def _parse_sweep_config(path) -> dict:
 
 def _cmd_sweep(args) -> int:
     cfg = _parse_sweep_config(args.config)
-    sweep_config = experiments.SweepConfig(**_given(cfg, experiments.SweepConfig))
+    sweep_config = experiments.SweepConfig(
+        **{f.name: cfg[f.name] for f in dataclasses.fields(experiments.SweepConfig) if f.name in cfg}
+    )
     train_set = fields.load_dataset(cfg["train_data"])
     # Only the cells read the test set, and a timing-only sweep has none.
     test_set = fields.load_dataset(cfg["test_data"]) if sweep_config.test_d else None
@@ -300,6 +285,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+_COMMANDS = {"generate": _cmd_generate, "train": _cmd_train, "invert": _cmd_invert, "sweep": _cmd_sweep}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -307,7 +295,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,6 @@ from .fields import Dataset, FieldGrid, TEST_D
 from .generative import decode, encode
 from .inverse import (
     InversionError,
-    RegressionError,
     _noisy_start,
     _solve_from,
     fit_regression,
@@ -158,7 +157,7 @@ def run_noise_sweep(config: SweepConfig, pipelines: dict, test_set: Dataset) -> 
                         cell.ssd = ssd(reference, grid)
                         if keep:
                             cell.field_values = grid.values.copy()
-                    except (InversionError, RegressionError, ValueError) as exc:
+                    except (InversionError, ValueError) as exc:
                         cell.error = str(exc)
                     cells.append(cell)
     return SweepResult(cells=cells, groundtruth=truth)

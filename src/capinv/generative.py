@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
-    DEFAULT_LEARNING_RATES,
     Mlp,
     TrainingError,
-    _check_learning_rate,
     backward,
     forward,
     make_optimizer,
@@ -188,10 +186,7 @@ class GenerativeTrainConfig:
     hidden_dim: int = 200
 
     def __post_init__(self) -> None:
-        if self.optimizer not in DEFAULT_LEARNING_RATES:
-            raise ValueError(
-                f"optimizer must be one of {sorted(DEFAULT_LEARNING_RATES)}, got {self.optimizer!r}"
-            )
+        make_optimizer(self.optimizer, self.learning_rate)  # refuses a bad name or rate
         for name in ("latent_dim", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -199,8 +194,6 @@ class GenerativeTrainConfig:
             raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
         if self.minibatch_size < 1:
             raise ValueError(f"minibatch_size must be positive, got {self.minibatch_size}")
-        if self.learning_rate is not None:
-            _check_learning_rate(self.learning_rate)
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
 

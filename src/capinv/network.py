@@ -213,7 +213,7 @@ DEFAULT_LEARNING_RATES = {"momentum": 1e-5, "adam": 1e-3}
 
 def make_optimizer(name: str, learning_rate: float | None = None):
     if name not in DEFAULT_LEARNING_RATES:
-        raise ValueError(f"unknown optimizer {name!r}, expected one of {sorted(DEFAULT_LEARNING_RATES)}")
+        raise ValueError(f"optimizer must be one of {sorted(DEFAULT_LEARNING_RATES)}, got {name!r}")
     lr = DEFAULT_LEARNING_RATES[name] if learning_rate is None else float(learning_rate)
     return Momentum(lr) if name == "momentum" else Adam(lr)
 

@@ -176,6 +176,20 @@ class TestGenerate:
         fields.save_dataset(fields.generate_dataset(d_values, fine_n=41), want)
         assert out.read_bytes() == want.read_bytes()
 
+    def test_every_flag_reaches_the_library(self, tmp_path, capsys):
+        flags = {"--a": 0.2, "--b": 0.7, "--v0": 2.5, "--fine-n": 41, "--coarse-n": 11,
+                 "--omega": 1.7, "--tol": 1e-7, "--max-sweeps": 5000}
+        argv = [str(token) for pair in flags.items() for token in pair]
+        out, want = tmp_path / "cli.ds", tmp_path / "lib.ds"
+        assert main(["generate", "--out", str(out), "--d-min", "0.3", "--d-max", "0.6", "--count", "3"] + argv) == 0
+        dataset = fields.generate_dataset(np.linspace(0.3, 0.6, 3), a=0.2, b=0.7, v0=2.5, fine_n=41, coarse_n=11,
+                                          omega=1.7, tol=1e-7, max_sweeps=5000)
+        fields.save_dataset(dataset, want)
+        assert out.read_bytes() == want.read_bytes()
+        # a budget that is never reached leaves no mark on the bytes, so show one that is
+        assert main(["generate", "--out", str(out), "--count", "1"] + argv[:-1] + ["3"]) == 1
+        assert "within 3 sweeps" in capsys.readouterr().err
+
     def test_count_must_be_positive(self, tmp_path, capsys):
         assert main(["generate", "--out", str(tmp_path / "x.ds"), "--count", "0"]) == 1
         assert "error: --count must be positive, got 0" in capsys.readouterr().err
@@ -213,6 +227,18 @@ class TestTrain:
                      "--iters", "30", "--batch", "4", "--latent", "3", "--hidden", "8"]) == 0
         config = generative.GenerativeTrainConfig(max_iterations=30, minibatch_size=4, latent_dim=3, hidden_dim=8)
         model, _ = generative.train_generative("ae", fields.load_dataset(workdir / "train.ds").fields, config)
+        generative.save_model(model, want)
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_every_flag_reaches_the_library(self, workdir, tmp_path):
+        out, want = tmp_path / "cli.model", tmp_path / "lib.model"
+        assert main(["train", "--kind", "vae", "--data", str(workdir / "train.ds"), "--out", str(out),
+                     "--optimizer", "adam", "--lr", "0.002", "--iters", "40", "--batch", "3", "--latent", "3",
+                     "--hidden", "9", "--beta", "0.5", "--seed", "7"]) == 0
+        config = generative.GenerativeTrainConfig(optimizer="adam", learning_rate=0.002, max_iterations=40,
+                                                  minibatch_size=3, latent_dim=3, hidden_dim=9, beta=0.5)
+        model, _ = generative.train_generative("vae", fields.load_dataset(workdir / "train.ds").fields, config,
+                                               seed=7)
         generative.save_model(model, want)
         assert out.read_bytes() == want.read_bytes()
 
@@ -467,6 +493,16 @@ class TestSweep:
             assert main(["sweep", "--config", str(config)]) == 1
             assert capsys.readouterr().err == error + "\n"
             assert not (tmp_path / "o").exists()
+
+    def test_optimizer_tag_with_a_comma_fails_before_any_cell(self, workdir, tmp_path, capsys):
+        # the fig6 meta line is ','-separated, so such a tag could not be exported
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"train_data={workdir / 'train.ds'}\ntest_data={workdir / 'test.ds'}\n"
+                          f"out_dir={tmp_path / 'o'}\napproaches=fullspace,vae\nmodel_vae={workdir / 'vae.model'}\n"
+                          "optimizer_vae=a,b\ntiming_reps=0\n")
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: optimizer_vae: must not hold ',', got 'a,b'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_rejected(self, workdir, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
