@@ -160,11 +160,12 @@ def _cmd_invert(args) -> int:
         if args.save_regression is not None:
             inverse.save_pipeline(pipeline, args.save_regression)
     else:
+        # Checked before the load, which would refuse a latent artifact for
+        # its missing model; an unknown space fails in the load, by name.
+        space = inverse._read_space(args.regression)
+        if space in inverse.SPACES and space != args.approach:
+            raise ValueError(f"{args.regression}: regression artifact was fitted for {space!r}, not {args.approach!r}")
         pipeline = inverse.load_pipeline(args.regression, model=model)
-        if pipeline.approach != args.approach:
-            raise ValueError(
-                f"regression artifact was fitted for {pipeline.approach!r}, not {args.approach!r}"
-            )
     grid = inverse.recover_field(
         pipeline, args.d, args.noise, args.seed, corrupt_field_first=args.corrupt_field_first
     )

@@ -18,7 +18,7 @@ import numpy as np
 from .network import (
     Mlp,
     TrainingError,
-    backward,
+    _backward_into,
     forward,
     make_optimizer,
     minibatch_stream,
@@ -133,18 +133,38 @@ def kld_loss(mu, sigma) -> float:
     return 0.5 * float(np.sum(s2 + mu * mu - np.log(s2) - 1.0))
 
 
-def _ae_step(model: GenerativeModel, batch: np.ndarray):
+def _parameters(model: GenerativeModel) -> list:
+    """Every parameter array of the model, in the order of the steps' gradients."""
+    return [*model.encoder.weights, *model.encoder.biases, *model.decoder.weights, *model.decoder.biases]
+
+
+def _split_grads(model: GenerativeModel, grads):
+    """(grads, encoder weights', encoder biases', decoder weights', decoder
+    biases' gradient arrays): the list given, or new arrays where it is None."""
+    if grads is None:
+        grads = [np.empty(p.shape) for p in _parameters(model)]
+    e, d = len(model.encoder.weights), len(model.decoder.weights)
+    return grads, grads[:e], grads[e : 2 * e], grads[2 * e : 2 * e + d], grads[2 * e + d :]
+
+
+def _ae_step(model: GenerativeModel, batch: np.ndarray, grads=None):
+    """(rec, 0.0, gradients) of one minibatch, the gradients in _parameters
+    order, written into grads where given."""
+    grads, ew, eb, dw, db = _split_grads(model, grads)
     rows = batch.shape[0]
     enc_cache = forward(model.encoder, batch)
     dec_cache = forward(model.decoder, enc_cache[-1])
     diff = dec_cache[-1] - batch
     rec = 0.5 * float(np.sum(diff * diff)) / rows
-    dw, db, g_code = backward(model.decoder, dec_cache, diff / rows)
-    ew, eb, _ = backward(model.encoder, enc_cache, g_code)
-    return rec, 0.0, ew + eb + dw + db
+    diff /= rows  # the output gradient
+    g_code = _backward_into(model.decoder, dec_cache, diff, dw, db)
+    _backward_into(model.encoder, enc_cache, g_code, ew, eb, input_grad=False)
+    return rec, 0.0, grads
 
 
-def _vae_step(model: GenerativeModel, batch: np.ndarray, eps: np.ndarray, beta: float):
+def _vae_step(model: GenerativeModel, batch: np.ndarray, eps: np.ndarray, beta: float, grads=None):
+    """(rec, kld, gradients) of one minibatch under noise eps, like _ae_step."""
+    grads, ew, eb, dw, db = _split_grads(model, grads)
     rows = batch.shape[0]
     z = model.latent_dim
     enc_cache = forward(model.encoder, batch)
@@ -160,12 +180,13 @@ def _vae_step(model: GenerativeModel, batch: np.ndarray, eps: np.ndarray, beta: 
     rec = 0.5 * float(np.sum(diff * diff)) / rows
     kld = 0.5 * float(np.sum(s2 + mu * mu - lv - 1.0)) / rows
 
-    dw, db, g_code = backward(model.decoder, dec_cache, diff / rows)
+    diff /= rows  # the output gradient
+    g_code = _backward_into(model.decoder, dec_cache, diff, dw, db)
     # d code/d lv = sigma*eps/2; divergence terms: d/d mu = mu, d/d lv = (sigma^2 - 1)/2.
     g_mu = g_code + beta * mu / rows
     g_lv = g_code * (0.5 * sigma * eps) + beta * 0.5 * (s2 - 1.0) / rows
-    ew, eb, _ = backward(model.encoder, enc_cache, np.concatenate([g_mu, g_lv], axis=1))
-    return rec, kld, ew + eb + dw + db
+    _backward_into(model.encoder, enc_cache, np.concatenate([g_mu, g_lv], axis=1), ew, eb, input_grad=False)
+    return rec, kld, grads
 
 
 @dataclass
@@ -222,7 +243,8 @@ def train_model(model: GenerativeModel, fields, config: GenerativeTrainConfig, r
     if len(data) == 0:
         raise ValueError("training set is empty")
 
-    params = [*model.encoder.weights, *model.encoder.biases, *model.decoder.weights, *model.decoder.biases]
+    params = _parameters(model)
+    grads = None  # the first step makes the gradient arrays; later steps write into them
     optimizer = make_optimizer(config.optimizer, config.learning_rate)
     stream = minibatch_stream(len(data), config.minibatch_size, rng)
     iters = config.max_iterations
@@ -233,10 +255,10 @@ def train_model(model: GenerativeModel, fields, config: GenerativeTrainConfig, r
         for it in range(iters):
             batch = data[next(stream)]
             if model.kind == "ae":
-                rec, kld, grads = _ae_step(model, batch)
+                rec, kld, grads = _ae_step(model, batch, grads)
             else:
                 eps = rng.standard_normal((batch.shape[0], model.latent_dim))
-                rec, kld, grads = _vae_step(model, batch, eps, config.beta)
+                rec, kld, grads = _vae_step(model, batch, eps, config.beta, grads)
             loss = rec + config.beta * kld
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at iteration {it}")

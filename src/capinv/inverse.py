@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import Dataset, FieldGrid
 from .generative import GenerativeModel, encode, decode
-from .textio import _header, _reading, _vector, _writing
+from .textio import _header, _reader, _reading, _vector, _writing
 
 __all__ = [
     "RegressionError",
@@ -222,8 +222,10 @@ class InversePipeline:
     latent. anchor_field keeps the underlying field either way so noise
     can alternatively be applied before encoding. Construction checks
     every width against grid_n and phi, that a latent regression comes with
-    its model and the model's widths match both, and that anchor_d is a
-    separation in [0, 1]. The approach is the regression's search space.
+    its model and the model's widths match both, that anchor_d is a
+    separation in [0, 1], and that optimizer_tag holds no separator of the
+    header lines it is written into. The approach is the regression's
+    search space.
     """
 
     regression: RegressionModel
@@ -245,6 +247,10 @@ class InversePipeline:
             raise ValueError(f"grid side must be at least 1, got grid={self.grid_n}")
         if not 0.0 <= self.anchor_d <= 1.0:
             raise ValueError(f"anchor_d must be finite and lie in [0, 1], got {self.anchor_d!r}")
+        # The .reg header splits on ' ', a field block's meta line on ','.
+        for bad in (" ", ",", "\n", "\r"):
+            if bad in self.optimizer_tag:
+                raise ValueError(f"optimizer_tag must not hold {bad!r}, got {self.optimizer_tag!r}")
         cells = self.grid_n * self.grid_n
         width = self.regression.phi.shape[0]
         if self.anchor_field.shape != (cells,):
@@ -348,6 +354,17 @@ def save_pipeline(pipeline: InversePipeline, path) -> None:
         fh.writelines(_header("", {key: repr(float(value))}) + "\n" for key, value in scalars.items())
         for tag, vec in (("phi", reg.phi), ("anchor", pipeline.anchor), ("anchor_field", pipeline.anchor_field)):
             fh.write(_vector(tag, vec))
+
+
+def _read_space(path) -> str:
+    """The search space in the header of a save_pipeline artifact, read
+    without the rest: a latent artifact does not load without its model, so
+    a caller that asked for another approach checks this first."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return _reader(fh, "regression artifact").header("regression", {"space": str})["space"]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_pipeline(path, model: GenerativeModel | None = None) -> InversePipeline:

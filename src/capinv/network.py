@@ -118,6 +118,21 @@ def backward(net: Mlp, activations: list, output_gradient: np.ndarray):
     output_gradient. The cache is checked against the net shape so a stale
     cache from another net or batch is rejected.
     """
+    weight_grads = [np.empty(w.shape) for w in net.weights]
+    bias_grads = [np.empty(b.shape) for b in net.biases]
+    input_grad = _backward_into(net, activations, output_gradient, weight_grads, bias_grads)
+    return weight_grads, bias_grads, input_grad
+
+
+def _backward_into(net: Mlp, activations: list, output_gradient, weight_grads, bias_grads, input_grad=True):
+    """backward's body: writes the parameter gradients into the arrays given,
+    one per weight and bias of the net, and returns the input gradient.
+
+    With input_grad False the first layer's input gradient is not formed and
+    None is returned: a training step's input is data, whose gradient no
+    one uses. Training passes the same arrays every iteration, so a step
+    allocates nothing the size of a parameter.
+    """
     sizes = net.layer_sizes
     if len(activations) != len(net.weights) + 1:
         raise ValueError(f"activation cache has {len(activations)} entries, expected {len(net.weights) + 1}")
@@ -129,17 +144,22 @@ def backward(net: Mlp, activations: list, output_gradient: np.ndarray):
     if grad.shape != activations[-1].shape:
         raise ValueError(f"output gradient shape {grad.shape} does not match output {activations[-1].shape}")
 
-    weight_grads = [None] * len(net.weights)
-    bias_grads = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, -1, -1):
         # Both activations' derivatives follow from the cached output:
-        # 1 - a^2 for tanh, 1 for linear.
-        a = activations[l + 1]
-        delta = grad * (1.0 - a * a) if net.activations[l] == "tanh" else grad
-        weight_grads[l] = activations[l].T @ delta
-        bias_grads[l] = delta.sum(axis=0)
+        # 1 - a^2 for tanh, 1 for linear. delta = grad * (1 - a^2) is formed
+        # in one array, since multiplication commutes bit for bit.
+        delta = grad
+        if net.activations[l] == "tanh":
+            a = activations[l + 1]
+            delta = np.multiply(a, a)
+            np.subtract(1.0, delta, out=delta)
+            delta *= grad
+        np.matmul(activations[l].T, delta, out=weight_grads[l])
+        np.sum(delta, axis=0, out=bias_grads[l])
+        if l == 0 and not input_grad:
+            return None
         grad = delta @ net.weights[l].T
-    return weight_grads, bias_grads, grad
+    return grad
 
 
 def _check_grads(params, grads) -> None:
@@ -166,14 +186,17 @@ class Momentum:
         _check_learning_rate(learning_rate)
         self.learning_rate = learning_rate
         self._velocity = None
+        self._scratch = None
 
     def step(self, params, grads) -> None:
         _check_grads(params, grads)
         if self._velocity is None:
             self._velocity = [np.zeros_like(p) for p in params]
-        for p, g, v in zip(params, grads, self._velocity):
+            self._scratch = [np.empty_like(p) for p in params]
+        for p, g, v, a in zip(params, grads, self._velocity, self._scratch):
             v *= self.gamma
-            v -= self.learning_rate * g
+            np.multiply(self.learning_rate, g, out=a)
+            v -= a
             p += v
 
 
@@ -189,6 +212,7 @@ class Adam:
         self.learning_rate = learning_rate
         self._m = None
         self._v = None
+        self._scratch = None
         self._t = 0
 
     def step(self, params, grads) -> None:
@@ -196,15 +220,27 @@ class Adam:
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
+            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self._t += 1
         c1 = 1.0 - self.beta1 ** self._t
         c2 = 1.0 - self.beta2 ** self._t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
+        # in that order, so the bits are those of the expression.
+        for p, g, m, v, (a, b) in zip(params, grads, self._m, self._v, self._scratch):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(g, g, out=a)
+            np.multiply(1.0 - self.beta2, a, out=a)
+            v += a
+            np.divide(m, c1, out=a)
+            np.multiply(self.learning_rate, a, out=a)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 # Learning rates paired with each optimizer when the caller does not pick one.

@@ -318,7 +318,20 @@ class TestInvert:
         capsys.readouterr()
         assert main(["invert", "--approach", "fullspace", "--regression", str(reg),
                      "--d", "0.5", "--out", str(tmp_path / "b.field")]) == 1
-        assert f"error: {reg}: a latent regression needs the generative model" in capsys.readouterr().err
+        # The artifact's space is read before anything else, so the message
+        # names the mismatch, not the model a latent regression needs.
+        err = capsys.readouterr().err
+        assert f"error: {reg}: regression artifact was fitted for 'latent', not 'fullspace'" in err
+
+    def test_fullspace_artifact_refuses_the_latent_approach(self, workdir, tmp_path, capsys):
+        reg = tmp_path / "full.reg"
+        assert main(["invert", "--approach", "fullspace", "--data", str(workdir / "train.ds"),
+                     "--save-regression", str(reg), "--d", "0.5", "--out", str(tmp_path / "a.field")]) == 0
+        capsys.readouterr()
+        assert main(["invert", "--approach", "latent", "--model", str(workdir / "vae.model"), "--regression",
+                     str(reg), "--d", "0.5", "--out", str(tmp_path / "b.field")]) == 1
+        assert f"error: {reg}: regression artifact was fitted for 'fullspace', not 'latent'" in capsys.readouterr().err
+        assert not (tmp_path / "b.field").exists()
 
     def test_latent_requires_model(self, workdir, tmp_path, capsys):
         code = main(["invert", "--approach", "latent", "--data", str(workdir / "train.ds"),

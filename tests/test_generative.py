@@ -37,6 +37,7 @@ from capinv.generative import (
     _ae_step,
     _vae_step,
 )
+from test_network import traced_peak_rise
 
 
 def toy_fields(n=16, width=12, seed=0):
@@ -186,6 +187,57 @@ class TestStepGradients:
                 numeric = (hi - lo) / (2.0 * h)
                 denom = max(abs(g[idx]) + abs(numeric), 1e-3)
                 assert abs(g[idx] - numeric) / denom < 1e-5
+
+
+class TestStepBuffers:
+    @staticmethod
+    def step_of(kind, model, batch, eps):
+        """The kind's step on batch, as a function of the gradient buffers."""
+        if kind == "ae":
+            return lambda grads=None: _ae_step(model, batch, grads)
+        return lambda grads=None: _vae_step(model, batch, eps, 0.7, grads)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_buffers_get_the_bytes_of_fresh_gradients(self, kind):
+        rng = np.random.default_rng(6)
+        model = build_model(kind, 9, 6, 3, rng)
+        step = self.step_of(kind, model, np.tanh(rng.normal(size=(4, 9))), rng.standard_normal((4, 3)))
+        fresh = step()
+        buffers = [np.full(p.shape, np.nan) for p in TestStepGradients.params_of(model)]
+        given = step(buffers)
+        assert given[2] is buffers
+        assert given[:2] == fresh[:2]
+        assert [g.tobytes() for g in buffers] == [g.tobytes() for g in fresh[2]]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_step_with_buffers_allocates_less_than_half_a_parameter(self, kind):
+        rng = np.random.default_rng(7)
+        model = build_model(kind, 441, 200, 20, rng)
+        params = TestStepGradients.params_of(model)
+        buffers = [np.empty(p.shape) for p in params]
+        step = self.step_of(kind, model, np.tanh(rng.normal(size=(20, 441))), rng.standard_normal((20, 20)))
+        limit = max(p.nbytes for p in params) // 2
+        for _ in range(3):
+            assert traced_peak_rise(lambda: step(buffers)) < limit
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_training_hands_every_later_step_the_first_steps_arrays(self, kind, monkeypatch):
+        name = f"_{kind}_step"
+        real_step = getattr(generative, name)
+        handed = []
+
+        def spy(*args):
+            handed.append(args[-1])
+            out = real_step(*args)
+            handed.append(out[2])
+            return out
+
+        monkeypatch.setattr(generative, name, spy)
+        config = GenerativeTrainConfig(max_iterations=4, minibatch_size=4, latent_dim=2, hidden_dim=3)
+        train_generative(kind, toy_fields(8, 6, seed=3), config, seed=0)
+        first = handed[1]
+        assert handed[0] is None and len(handed) == 8
+        assert all(grads is first for grads in handed[1:])
 
 
 class TestTraining:
@@ -457,9 +509,9 @@ class TestBlasThreads:
         seen = []
         real_step = generative._ae_step
 
-        def spy(model, batch):
+        def spy(model, batch, grads=None):
             seen.append(get_threads())
-            return real_step(model, batch)
+            return real_step(model, batch, grads)
 
         monkeypatch.setattr(generative, "_ae_step", spy)
         config = GenerativeTrainConfig(optimizer="adam", max_iterations=5, minibatch_size=4, latent_dim=2, hidden_dim=3)

@@ -421,12 +421,24 @@ class TestPipelineSerialization:
         with pytest.raises(FileNotFoundError, match=r"missing/new\.model'$"):
             generative.save_model(empty, tmp_path / "missing" / "new.model")
 
-    @pytest.mark.parametrize("tag", ["my tag", "x\ny", "x\ry"])
+    @pytest.mark.parametrize("tag", ["my tag", "x\ny", "x\ry", "a,b"])
     def test_a_tag_that_would_not_read_back_is_refused(self, tmp_path, tag):
-        pipe = fit_pipeline("fullspace", synthetic_dataset([0.2, 0.5, 0.8]), optimizer_tag=tag)
-        with pytest.raises(ValueError, match=f"^cannot write optimizer={re.escape(repr(tag))}: "):
-            save_pipeline(pipe, tmp_path / "tag.reg")
+        # The .reg header splits on ' ' and a field block's meta line on ',',
+        # so the pipeline refuses such a tag before anything is written.
+        bad = next(c for c in " ,\n\r" if c in tag)
+        with pytest.raises(ValueError, match=f"^optimizer_tag must not hold {re.escape(repr(bad))}, "
+                                             f"got {re.escape(repr(tag))}$"):
+            fit_pipeline("fullspace", synthetic_dataset([0.2, 0.5, 0.8]), optimizer_tag=tag)
         assert not list(tmp_path.iterdir())
+
+    def test_a_reg_file_with_a_comma_in_its_tag_fails_with_its_path(self, tmp_path):
+        path = tmp_path / "tag.reg"
+        save_pipeline(fit_pipeline("fullspace", synthetic_dataset([0.2, 0.5, 0.8]), optimizer_tag="ab"), path)
+        text = path.read_text()
+        assert " optimizer=ab\n" in text
+        path.write_text(text.replace(" optimizer=ab\n", " optimizer=a,b\n", 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: optimizer_tag must not hold ',', "):
+            load_pipeline(path)
 
     @pytest.mark.parametrize("tag", ["a=b", ""])
     def test_a_tag_with_an_equals_sign_or_none_round_trips(self, tmp_path, tag):

@@ -1,7 +1,9 @@
 """Network tests: per-neuron forward oracle, finite-difference gradients,
-hand-stepped optimizer sequences and the minibatch stream."""
+hand-stepped optimizer sequences, optimizer steps against their one-line
+expressions and their memory floor, and the minibatch stream."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +224,103 @@ class TestOptimizers:
                 Momentum(rate)
             with pytest.raises(ValueError, match="learning rate"):
                 Adam(rate)
+
+
+def traced_peak_rise(call) -> int:
+    """How far call() raises tracemalloc's peak above the memory traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def paper_parameters(rng) -> list:
+    """The weights and biases of a 441-200-20 encoder and a 20-200-441 decoder."""
+    nets = [Mlp.init(sizes, ("tanh", "tanh"), rng) for sizes in ((441, 200, 20), (20, 200, 441))]
+    return [a for net in nets for a in (*net.weights, *net.biases)]
+
+
+class ExpressionMomentum:
+    """Momentum.step as the one-line expressions it must reproduce bit for bit."""
+
+    def __init__(self, learning_rate):
+        self.learning_rate = learning_rate
+        self.velocity = None
+
+    def step(self, params, grads):
+        if self.velocity is None:
+            self.velocity = [np.zeros_like(p) for p in params]
+        for p, g, v in zip(params, grads, self.velocity):
+            v *= Momentum.gamma
+            v -= self.learning_rate * g
+            p += v
+
+
+class ExpressionAdam:
+    """Adam.step as the one-line expressions it must reproduce bit for bit."""
+
+    def __init__(self, learning_rate):
+        self.learning_rate = learning_rate
+        self.m = self.v = None
+        self.t = 0
+
+    def step(self, params, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        c1 = 1.0 - Adam.beta1 ** self.t
+        c2 = 1.0 - Adam.beta2 ** self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= Adam.beta1
+            m += (1.0 - Adam.beta1) * g
+            v *= Adam.beta2
+            v += (1.0 - Adam.beta2) * (g * g)
+            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + Adam.eps)
+
+
+class TestOptimizerBits:
+    SHAPES = ((1,), (7,), (1, 1), (5, 3), (3, 8), (2, 3, 4))
+
+    @pytest.mark.parametrize(
+        "optimizer,expression,rate",
+        [(Momentum, ExpressionMomentum, 1e-5), (Momentum, ExpressionMomentum, 0.037),
+         (Adam, ExpressionAdam, 1e-3), (Adam, ExpressionAdam, 0.29)],
+    )
+    def test_steps_give_the_bytes_of_the_expressions(self, optimizer, expression, rate):
+        rng = np.random.default_rng(11)
+        params = [rng.normal(size=shape) for shape in self.SHAPES]
+        twins = [p.copy() for p in params]
+        ours, theirs = optimizer(rate), expression(rate)
+        for step in range(50):
+            # Gradients over many magnitudes, signs and some exact zeros.
+            grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 4, size=p.shape) for p in params]
+            grads[step % len(grads)].flat[0] = 0.0
+            ours.step(params, grads)
+            theirs.step(twins, grads)
+            assert [p.tobytes() for p in params] == [p.tobytes() for p in twins], f"step {step + 1}"
+
+    @pytest.mark.parametrize("optimizer", [Momentum(1e-5), Adam(1e-3)], ids=["momentum", "adam"])
+    def test_later_steps_allocate_less_than_half_a_parameter(self, optimizer):
+        rng = np.random.default_rng(12)
+        params = paper_parameters(rng)
+        grads = [rng.normal(size=p.shape) for p in params]
+        optimizer.step(params, grads)  # the first step makes the optimizer's state
+        limit = max(p.nbytes for p in params) // 2
+        for _ in range(3):
+            assert traced_peak_rise(lambda: optimizer.step(params, grads)) < limit
+
+    def test_a_gradient_that_would_broadcast_is_refused(self):
+        # The steps write through out= arrays, which would take a broadcast
+        # gradient without complaint; the shape check must come first.
+        params = [np.zeros((4, 3))]
+        for optimizer in (Momentum(0.1), Adam(0.1)):
+            optimizer.step(params, [np.ones((4, 3))])
+            with pytest.raises(ValueError, match="does not match parameter shape"):
+                optimizer.step(params, [np.ones(3)])
 
 
 class TestMinibatchStream:
