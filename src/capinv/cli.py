@@ -201,9 +201,11 @@ def _nonnegative(kind):
 
 
 def _tag(text: str) -> str:
-    """An optimizer tag, which the fig6 export writes into a ','-separated meta line."""
-    if "," in text:
-        raise ValueError(f"must not hold ',', got {text!r}")
+    """An optimizer tag. Each character InversePipeline refuses is refused
+    here, while the config is parsed, so the error names the file and key."""
+    for bad in inverse._TAG_REFUSED:
+        if bad in text:
+            raise ValueError(f"must not hold {bad!r}, got {text!r}")
     return text
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .network import (
     Mlp,
     TrainingError,
-    _backward_into,
+    backward,
     forward,
     make_optimizer,
     minibatch_stream,
@@ -157,8 +157,8 @@ def _ae_step(model: GenerativeModel, batch: np.ndarray, grads=None):
     diff = dec_cache[-1] - batch
     rec = 0.5 * float(np.sum(diff * diff)) / rows
     diff /= rows  # the output gradient
-    g_code = _backward_into(model.decoder, dec_cache, diff, dw, db)
-    _backward_into(model.encoder, enc_cache, g_code, ew, eb, input_grad=False)
+    g_code = backward(model.decoder, dec_cache, diff, out=(dw, db))[2]
+    backward(model.encoder, enc_cache, g_code, out=(ew, eb), input_grad=False)
     return rec, 0.0, grads
 
 
@@ -181,11 +181,11 @@ def _vae_step(model: GenerativeModel, batch: np.ndarray, eps: np.ndarray, beta: 
     kld = 0.5 * float(np.sum(s2 + mu * mu - lv - 1.0)) / rows
 
     diff /= rows  # the output gradient
-    g_code = _backward_into(model.decoder, dec_cache, diff, dw, db)
+    g_code = backward(model.decoder, dec_cache, diff, out=(dw, db))[2]
     # d code/d lv = sigma*eps/2; divergence terms: d/d mu = mu, d/d lv = (sigma^2 - 1)/2.
     g_mu = g_code + beta * mu / rows
     g_lv = g_code * (0.5 * sigma * eps) + beta * 0.5 * (s2 - 1.0) / rows
-    _backward_into(model.encoder, enc_cache, np.concatenate([g_mu, g_lv], axis=1), ew, eb, input_grad=False)
+    backward(model.encoder, enc_cache, np.concatenate([g_mu, g_lv], axis=1), out=(ew, eb), input_grad=False)
     return rec, kld, grads
 
 

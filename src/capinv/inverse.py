@@ -47,6 +47,8 @@ SPACES = ("fullspace", "latent")
 # The optimizer_tag of a pipeline that names no training optimizer, such as
 # every fullspace fit; .reg headers and sweep exports write it as is.
 UNTAGGED = "-"
+# Refused in an optimizer_tag: the .reg header splits on ' ', a field block's meta line on ','.
+_TAG_REFUSED = (" ", ",", "\n", "\r")
 
 
 class RegressionError(ValueError):
@@ -247,8 +249,7 @@ class InversePipeline:
             raise ValueError(f"grid side must be at least 1, got grid={self.grid_n}")
         if not 0.0 <= self.anchor_d <= 1.0:
             raise ValueError(f"anchor_d must be finite and lie in [0, 1], got {self.anchor_d!r}")
-        # The .reg header splits on ' ', a field block's meta line on ','.
-        for bad in (" ", ",", "\n", "\r"):
+        for bad in _TAG_REFUSED:
             if bad in self.optimizer_tag:
                 raise ValueError(f"optimizer_tag must not hold {bad!r}, got {self.optimizer_tag!r}")
         cells = self.grid_n * self.grid_n

@@ -110,28 +110,20 @@ def forward(net: Mlp, batch: np.ndarray) -> list:
     return cache
 
 
-def backward(net: Mlp, activations: list, output_gradient: np.ndarray):
+def backward(net: Mlp, activations: list, output_gradient: np.ndarray, out=None, input_grad=True):
     """Backpropagate d(loss)/d(output) through a cached forward pass.
 
     Returns (weight_grads, bias_grads, input_grad). Gradients sum over the
     batch rows; any mean reduction must already be folded into
     output_gradient. The cache is checked against the net shape so a stale
     cache from another net or batch is rejected.
-    """
-    weight_grads = [np.empty(w.shape) for w in net.weights]
-    bias_grads = [np.empty(b.shape) for b in net.biases]
-    input_grad = _backward_into(net, activations, output_gradient, weight_grads, bias_grads)
-    return weight_grads, bias_grads, input_grad
 
-
-def _backward_into(net: Mlp, activations: list, output_gradient, weight_grads, bias_grads, input_grad=True):
-    """backward's body: writes the parameter gradients into the arrays given,
-    one per weight and bias of the net, and returns the input gradient.
-
-    With input_grad False the first layer's input gradient is not formed and
-    None is returned: a training step's input is data, whose gradient no
-    one uses. Training passes the same arrays every iteration, so a step
-    allocates nothing the size of a parameter.
+    out=(weight_grads, bias_grads), one array per weight and bias of the
+    net, receives the parameter gradients in place of new arrays, so a
+    training loop that passes the same arrays every iteration allocates
+    nothing the size of a parameter. With input_grad False the first
+    layer's input gradient is not formed and None is returned in its slot:
+    a training step's input is data, whose gradient no one uses.
     """
     sizes = net.layer_sizes
     if len(activations) != len(net.weights) + 1:
@@ -143,6 +135,10 @@ def _backward_into(net: Mlp, activations: list, output_gradient, weight_grads, b
     grad = np.asarray(output_gradient, dtype=np.float64)
     if grad.shape != activations[-1].shape:
         raise ValueError(f"output gradient shape {grad.shape} does not match output {activations[-1].shape}")
+
+    if out is None:
+        out = [np.empty(w.shape) for w in net.weights], [np.empty(b.shape) for b in net.biases]
+    weight_grads, bias_grads = out
 
     for l in range(len(net.weights) - 1, -1, -1):
         # Both activations' derivatives follow from the cached output:
@@ -157,9 +153,9 @@ def _backward_into(net: Mlp, activations: list, output_gradient, weight_grads, b
         np.matmul(activations[l].T, delta, out=weight_grads[l])
         np.sum(delta, axis=0, out=bias_grads[l])
         if l == 0 and not input_grad:
-            return None
+            return weight_grads, bias_grads, None
         grad = delta @ net.weights[l].T
-    return grad
+    return weight_grads, bias_grads, grad
 
 
 def _check_grads(params, grads) -> None:

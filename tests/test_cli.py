@@ -517,6 +517,17 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {config}: optimizer_vae: must not hold ',', got 'a,b'\n"
         assert not (tmp_path / "o").exists()
 
+    def test_optimizer_tag_with_a_space_fails_before_any_dataset_loads(self, tmp_path, capsys):
+        # the .reg header splits on ' ', so the pipeline would refuse the tag
+        # too, after the loads, and without naming the config key
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"train_data={tmp_path / 'absent.ds'}\ntest_data={tmp_path / 'absent.ds'}\n"
+                          f"out_dir={tmp_path / 'o'}\napproaches=fullspace,ae\nmodel_ae={tmp_path / 'absent.model'}\n"
+                          "optimizer_ae = a b\n")
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: optimizer_ae: must not hold ' ', got 'a b'\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_rejected(self, workdir, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("train_data=x\ntest_data=y\nout_dir=z\nbogus=1\n")

@@ -153,6 +153,24 @@ class TestBackward:
         assert np.allclose(full[0][0], parts[0][0][0] + parts[1][0][0], rtol=1e-13)
         assert np.allclose(full[1][0], parts[0][1][0] + parts[1][1][0], rtol=1e-13)
 
+    def test_writes_into_out_and_skips_the_input_gradient_on_request(self):
+        # Training hands backward the same arrays every step and needs no
+        # gradient for its data: neither may change a parameter gradient's bits.
+        net = random_net((3, 4, 2), ("tanh", "linear"), 6)
+        rng = np.random.default_rng(7)
+        cache = forward(net, rng.normal(size=(5, 3)))
+        grad = rng.normal(size=(5, 2))
+        fresh = backward(net, cache, grad)
+        buffers = [np.full(w.shape, np.nan) for w in net.weights], [np.full(b.shape, np.nan) for b in net.biases]
+        given = [*buffers[0], *buffers[1]]
+        w_grads, b_grads, input_grad = backward(net, cache, grad, out=buffers)
+        assert all(got is want for got, want in zip([*w_grads, *b_grads], given, strict=True))
+        assert [g.tobytes() for g in given] == [g.tobytes() for g in [*fresh[0], *fresh[1]]]
+        assert input_grad.tobytes() == fresh[2].tobytes()
+        w_grads, b_grads, input_grad = backward(net, cache, grad, input_grad=False)
+        assert input_grad is None
+        assert [g.tobytes() for g in [*w_grads, *b_grads]] == [g.tobytes() for g in [*fresh[0], *fresh[1]]]
+
     def test_rejects_stale_cache(self):
         net = random_net((3, 4, 2), ("tanh", "linear"), 0)
         other = random_net((3, 5, 2), ("tanh", "linear"), 1)
