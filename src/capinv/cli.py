@@ -253,9 +253,12 @@ def _parse_sweep_config(path) -> dict:
 
 def _cmd_sweep(args) -> int:
     cfg = _parse_sweep_config(args.config)
-    sweep_config = experiments.SweepConfig(
-        **{f.name: cfg[f.name] for f in dataclasses.fields(experiments.SweepConfig) if f.name in cfg}
-    )
+    try:
+        sweep_config = experiments.SweepConfig(
+            **{f.name: cfg[f.name] for f in dataclasses.fields(experiments.SweepConfig) if f.name in cfg}
+        )
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     train_set = fields.load_dataset(cfg["train_data"])
     # Only the cells read the test set, and a timing-only sweep has none.
     test_set = fields.load_dataset(cfg["test_data"]) if sweep_config.test_d else None

@@ -70,7 +70,8 @@ class SweepConfig:
     """Grid of sweep cells: every approach x test d x noise level x seed.
 
     keep_fields_d lists the separations whose recovered grids are retained
-    on the cells (and exported as field blocks).
+    on the cells (and exported as field blocks). No list may repeat a value;
+    separations count as equal within 1e-9, as the groundtruth lookup does.
     """
 
     noise_levels: tuple = (0.01, 0.1, 0.5, 1.0)
@@ -78,6 +79,13 @@ class SweepConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
     keep_fields_d: tuple = (0.36,)
     corrupt_field_first: bool = False
+
+    def __post_init__(self) -> None:
+        for name, atol in (("noise_levels", 0.0), ("test_d", 1e-9), ("seeds", 0.0), ("keep_fields_d", 1e-9)):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if any(math.isclose(value, seen, rel_tol=0.0, abs_tol=atol) for seen in values[:i]):
+                    raise ValueError(f"{name} repeats {value!r}")
 
 
 @dataclass
@@ -132,7 +140,7 @@ def run_noise_sweep(config: SweepConfig, pipelines: dict, test_set: Dataset) -> 
     for d in config.test_d:
         reference = test_set.field_grid(_match_d(test_set.d, d))  # fail fast if the groundtruth is missing
         keep = any(math.isclose(d, k, abs_tol=1e-9) for k in config.keep_fields_d)
-        if keep and all(t != d for t, _ in truth):
+        if keep:
             truth.append((float(d), reference.values))
         targets.append((d, reference, keep))
     for name, pipeline in pipelines.items():

@@ -238,28 +238,24 @@ def solve_sor(
     _check_solver(omega, tol, max_sweeps)
 
     # The grid is held as four parity lattices in one (2, 2, w, w) block,
-    # w = (n + 1) // 2: lattice[a, b, I, J] = v[2I + a, 2J + b], padded with
-    # nodes that stay 0. Every neighbour of a red ((i+j) even) node lies in
-    # a black lattice and vice versa. In flat lattice (a, b), node
-    # k = I*w + J has its up and down neighbours at k - (1-a)*w and w
-    # further on in lattice (1-a, b), its left and right ones at k - (1-b)
-    # and 1 further on in lattice (a, 1-b). So a pass reads five contiguous
-    # slices of one length, from its first to its last free node; the nodes
-    # in that span that must not move (walls, row wrap-around, padding,
-    # interior Dirichlet nodes) get a zero update from a precomputed index
-    # list. Red passes come first and the per-node arithmetic is that of a
-    # sweep over the n x n grid, so the result is bit-identical to it.
+    # w = (n + 1) // 2: the view g.reshape(w, 2, w, 2).transpose(1, 3, 0, 2)
+    # of a (2w, 2w) grid g is lattice[a, b, I, J] = g[2I + a, 2J + b], and
+    # g's padding stays 0. Red ((i+j) even) and black nodes neighbour only
+    # each other. In flat lattice (a, b), node k = I*w + J has its up and
+    # down neighbours at k - (1-a)*w and w further on in lattice (1-a, b),
+    # its left and right ones at k - (1-b) and 1 further on in lattice
+    # (a, 1-b). So a pass reads five contiguous slices of one length, from
+    # its first to its last free node; the nodes in that span that must not
+    # move (walls, row wrap-around, padding, interior Dirichlet nodes) get a
+    # zero update from a precomputed index list. Red passes come first and
+    # the per-node arithmetic is that of a sweep over the n x n grid, so the
+    # result is bit-identical to it.
     w = (n + 1) // 2
-    block = np.zeros((2, 2, w, w))
-    free = np.zeros((2, 2, w, w), dtype=bool)
-    inner = ~mask.fixed
-    inner[[0, -1], :] = inner[:, [0, -1]] = False
-    for a in (0, 1):
-        for b in (0, 1):
-            shape = ((n - a + 1) // 2, (n - b + 1) // 2)
-            np.copyto(block[a, b, : shape[0], : shape[1]], mask.value[a::2, b::2], where=mask.fixed[a::2, b::2])
-            free[a, b, : shape[0], : shape[1]] = inner[a::2, b::2]
-    flat, free = block.reshape(2, 2, w * w), free.reshape(2, 2, w * w)
+    grid, free = np.zeros((2 * w, 2 * w)), np.zeros((2 * w, 2 * w), dtype=bool)
+    np.copyto(grid[:n, :n], mask.value, where=mask.fixed)
+    free[1 : n - 1, 1 : n - 1] = ~mask.fixed[1:-1, 1:-1]  # the walls never move
+    flat, free = (g.reshape(w, 2, w, 2).transpose(1, 3, 0, 2).reshape(2, 2, w * w) for g in (grid, free))
+    del grid  # the reshape copied it into the block
     # One update buffer, as long as a lattice and sliced by each pass. It
     # starts on a 64-byte boundary: where malloc puts it depends on every
     # earlier allocation in the process, and off that boundary a solve
@@ -313,12 +309,10 @@ def solve_sor(
             residual=dmax,
             sweeps=max_sweeps,
         )
-    del passes, buffer, free, inner  # free the scratch before the output grid is allocated
-    values = np.empty((n, n))
-    for a in (0, 1):
-        for b in (0, 1):
-            values[a::2, b::2] = block[a, b, : (n - a + 1) // 2, : (n - b + 1) // 2]
-    return FieldGrid(values=values)
+    del passes, buffer, free  # free the scratch before the output grid is allocated
+    grid = np.empty((2 * w, 2 * w))
+    grid.reshape(w, 2, w, 2).transpose(1, 3, 0, 2)[...] = flat.reshape(2, 2, w, w)
+    return FieldGrid(values=grid[:n, :n])
 
 
 def downsample(grid: FieldGrid, coarse_n: int) -> FieldGrid:

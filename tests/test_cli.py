@@ -528,6 +528,15 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {config}: optimizer_ae: must not hold ' ', got 'a b'\n"
         assert not (tmp_path / "o").exists()
 
+    def test_a_repeated_separation_fails_before_any_dataset_loads(self, tmp_path, capsys):
+        # a repeat would sweep the same cells twice and weight them twice in fig8
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"train_data={tmp_path / 'absent.ds'}\ntest_data={tmp_path / 'absent.ds'}\n"
+                          f"out_dir={tmp_path / 'o'}\ntest_d=0.3,0.5,0.3\n")
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: test_d repeats 0.3\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_rejected(self, workdir, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("train_data=x\ntest_data=y\nout_dir=z\nbogus=1\n")

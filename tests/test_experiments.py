@@ -4,6 +4,7 @@ arithmetic, timing table structure, and export round trips."""
 import csv
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,19 @@ class TestRunNoiseSweep:
         config = SweepConfig(noise_levels=(0.01,), test_d=(0.123,), seeds=(0,))
         with pytest.raises(ValueError, match="no groundtruth"):
             run_noise_sweep(config, unit_pipelines, unit_test_set)
+
+    @pytest.mark.parametrize("field,values,repeated", [
+        ("noise_levels", (0.01, 0.5, 0.01), 0.01),
+        ("test_d", (0.3, 0.5, 0.3 + 5e-10), 0.3 + 5e-10),
+        ("seeds", (0, 1, 1), 1),
+        ("keep_fields_d", (0.36, 0.36), 0.36),
+    ])
+    def test_a_repeated_value_is_refused_by_name(self, field, values, repeated):
+        with pytest.raises(ValueError, match=f"^{field} repeats {re.escape(repr(repeated))}$"):
+            SweepConfig(**{field: values})
+
+    def test_separations_1e_8_apart_are_distinct(self):
+        assert SweepConfig(test_d=(0.3, 0.3 + 1e-8)).test_d == (0.3, 0.3 + 1e-8)
 
     def test_a_test_set_of_another_grid_fails_before_any_cell(self, unit_pipelines, unit_test_set, monkeypatch):
         coarse = Dataset(grid_n=11, v0=1.0, d=unit_test_set.d, fields=np.zeros((len(unit_test_set), 121)))

@@ -30,6 +30,7 @@ from capinv.fields import (
     solve_sor,
 )
 from capinv.textio import _row
+from test_network import traced_peak_rise
 
 
 # Floats whose text form is hardest to read back bit for bit: signed zero,
@@ -276,6 +277,24 @@ class TestSolveSor:
                 fixed[rng.integers(0, n, 2), [1, -2]] = True
                 mask = BoundaryMask(fixed=fixed, value=np.where(fixed, rng.uniform(-1, 1, (n, n)), 0.0))
                 assert solve_sor(mask).values.tobytes() == reference_sor(mask).tobytes(), (n, seed)
+
+    def test_walls_that_are_not_fixed_stay_at_zero(self):
+        # A mask may leave outer-ring nodes free. The solver holds them at 0,
+        # as the reference sweep does, so no pass ever updates a wall.
+        for n in range(3, 26):
+            for seed in range(3):
+                rng = np.random.default_rng(2000 * n + seed)
+                fixed = rng.random((n, n)) < 0.15
+                mask = BoundaryMask(fixed=fixed, value=np.where(fixed, rng.uniform(-1, 1, (n, n)), 0.0))
+                assert solve_sor(mask).values.tobytes() == reference_sor(mask).tobytes(), (n, seed)
+
+    def test_peak_memory_is_bounded_by_the_lattice_block(self):
+        # A fine_n=401 capacitor solve peaks at about 2.53 lattice blocks of
+        # 4*w*w float64s. Keeping the pass scratch alive while the output
+        # grid is allocated reads about 2.66.
+        mask = build_boundary_mask(CapacitorConfig(d=0.36, fine_n=401, coarse_n=21))
+        w = (mask.n + 1) // 2
+        assert traced_peak_rise(lambda: solve_sor(mask)) < 2.6 * 4 * w * w * 8
 
     def test_optimal_omega_value(self):
         assert optimal_omega(401) == pytest.approx(2.0 / (1.0 + np.sin(np.pi / 401)), rel=1e-15)
