@@ -8,7 +8,6 @@ every value bit for bit. No plotting here; the tables are plot-ready.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +52,7 @@ EXPORT_NAMES = (
 TIMING_STAGES = ("encoder", "regression", "inverse", "decoder")
 _TIMING_WARMUP = 10  # untimed calls per stage before the timed repetitions
 _TIMING_TARGET_D = 0.36  # separation the inverse stage is timed at
+_SAME_D = 1e-9  # separations this close are one: in the groundtruth lookup, the kept fields and repeat checks
 
 
 def ssd(a: FieldGrid, b: FieldGrid) -> float:
@@ -70,8 +70,8 @@ class SweepConfig:
     """Grid of sweep cells: every approach x test d x noise level x seed.
 
     keep_fields_d lists the separations whose recovered grids are retained
-    on the cells (and exported as field blocks). No list may repeat a value;
-    separations count as equal within 1e-9, as the groundtruth lookup does.
+    on the cells (and exported as field blocks). No list may repeat a value,
+    NaN included; separations count as equal within 1e-9, as everywhere else.
     """
 
     noise_levels: tuple = (0.01, 0.1, 0.5, 1.0)
@@ -81,10 +81,10 @@ class SweepConfig:
     corrupt_field_first: bool = False
 
     def __post_init__(self) -> None:
-        for name, atol in (("noise_levels", 0.0), ("test_d", 1e-9), ("seeds", 0.0), ("keep_fields_d", 1e-9)):
+        for name, atol in (("noise_levels", 0.0), ("test_d", _SAME_D), ("seeds", 0.0), ("keep_fields_d", _SAME_D)):
             values = getattr(self, name)
             for i, value in enumerate(values):
-                if any(math.isclose(value, seen, rel_tol=0.0, abs_tol=atol) for seen in values[:i]):
+                if _same(values[:i], value, atol).any():
                     raise ValueError(f"{name} repeats {value!r}")
 
 
@@ -117,8 +117,13 @@ class SweepResult:
     groundtruth: list  # (d, grid values) pairs for the kept separations
 
 
+def _same(values, value, atol: float = _SAME_D) -> np.ndarray:
+    """Which of values equal value within atol, NaN equal to NaN; the default compares separations."""
+    return np.isclose(values, value, rtol=0.0, atol=atol, equal_nan=True)
+
+
 def _match_d(values: np.ndarray, d: float) -> int:
-    hits = np.flatnonzero(np.isclose(values, d, rtol=0.0, atol=1e-9))
+    hits = np.flatnonzero(_same(values, d))
     if hits.size == 0:
         raise ValueError(f"no groundtruth field for test_d={d!r}")
     return int(hits[0])
@@ -139,7 +144,7 @@ def run_noise_sweep(config: SweepConfig, pipelines: dict, test_set: Dataset) -> 
     targets = []  # (d, groundtruth grid, keep its recovered fields)
     for d in config.test_d:
         reference = test_set.field_grid(_match_d(test_set.d, d))  # fail fast if the groundtruth is missing
-        keep = any(math.isclose(d, k, abs_tol=1e-9) for k in config.keep_fields_d)
+        keep = _same(config.keep_fields_d, d).any()
         if keep:
             truth.append((float(d), reference.values))
         targets.append((d, reference, keep))

@@ -238,24 +238,43 @@ def solve_sor(
     _check_solver(omega, tol, max_sweeps)
 
     # The grid is held as four parity lattices in one (2, 2, w, w) block,
-    # w = (n + 1) // 2: the view g.reshape(w, 2, w, 2).transpose(1, 3, 0, 2)
-    # of a (2w, 2w) grid g is lattice[a, b, I, J] = g[2I + a, 2J + b], and
-    # g's padding stays 0. Red ((i+j) even) and black nodes neighbour only
-    # each other. In flat lattice (a, b), node k = I*w + J has its up and
-    # down neighbours at k - (1-a)*w and w further on in lattice (1-a, b),
-    # its left and right ones at k - (1-b) and 1 further on in lattice
-    # (a, 1-b). So a pass reads five contiguous slices of one length, from
-    # its first to its last free node; the nodes in that span that must not
-    # move (walls, row wrap-around, padding, interior Dirichlet nodes) get a
-    # zero update from a precomputed index list. Red passes come first and
-    # the per-node arithmetic is that of a sweep over the n x n grid, so the
-    # result is bit-identical to it.
+    # w = (n + 1) // 2, taken through _parity from a (2w, 2w) grid whose
+    # padding stays 0. Each reshape copies, and rebinding frees the padded
+    # grid; the bool mask goes first, so it is gone before two float grids
+    # are alive at once.
     w = (n + 1) // 2
-    grid, free = np.zeros((2 * w, 2 * w)), np.zeros((2 * w, 2 * w), dtype=bool)
-    np.copyto(grid[:n, :n], mask.value, where=mask.fixed)
+    free = np.zeros((2 * w, 2 * w), dtype=bool)
     free[1 : n - 1, 1 : n - 1] = ~mask.fixed[1:-1, 1:-1]  # the walls never move
-    flat, free = (g.reshape(w, 2, w, 2).transpose(1, 3, 0, 2).reshape(2, 2, w * w) for g in (grid, free))
-    del grid  # the reshape copied it into the block
+    free = _parity(free).reshape(2, 2, w * w)
+    flat = np.zeros((2 * w, 2 * w))
+    np.copyto(flat[:n, :n], mask.value, where=mask.fixed)
+    flat = _parity(flat).reshape(2, 2, w * w)
+    _relax(flat, free, w, omega, tol, max_sweeps)
+    grid = np.empty((2 * w, 2 * w))
+    _parity(grid)[...] = flat.reshape(2, 2, w, w)
+    return FieldGrid(values=grid[:n, :n])
+
+
+def _parity(g: np.ndarray) -> np.ndarray:
+    """The (2, 2, w, w) view lattice[a, b, I, J] = g[2I + a, 2J + b] of a (2w, 2w) grid g."""
+    return g.reshape(len(g) // 2, 2, -1, 2).transpose(1, 3, 0, 2)
+
+
+def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tol: float, max_sweeps: int) -> None:
+    """Run red-black SOR sweeps on the (2, 2, w*w) lattice block flat in place.
+
+    Only the nodes where free holds move. Red ((i+j) even) and black nodes
+    neighbour only each other. In flat lattice (a, b), node k = I*w + J has
+    its up and down neighbours at k - (1-a)*w and w further on in lattice
+    (1-a, b), its left and right ones at k - (1-b) and 1 further on in
+    lattice (a, 1-b). So a pass reads five contiguous slices of one length,
+    from its first to its last free node; the nodes in that span that must
+    not move (walls, row wrap-around, padding, interior Dirichlet nodes) get
+    a zero update from a precomputed index list. Red passes come first and
+    the per-node arithmetic is that of a sweep over the n x n grid, so the
+    result is bit-identical to it. All pass scratch is local, so it is freed
+    before the caller allocates its output grid.
+    """
     # One update buffer, as long as a lattice and sliced by each pass. It
     # starts on a 64-byte boundary: where malloc puts it depends on every
     # earlier allocation in the process, and off that boundary a solve
@@ -297,22 +316,17 @@ def solve_sor(
             dmax = max(dmax, float(buf.max()))
         updates.append(dmax)
         if dmax == 0.0 or dmax < 1e-3 * tol:
-            break
+            return
         if sweep > window and updates[-1 - window] > 0.0:
             rho = (dmax / updates[-1 - window]) ** (1.0 / window)
             rho = min(max(rho, 1e-6), 0.999999)
             if dmax < safety * tol * min(1.0, (1.0 - rho) / max(rho, 0.5)):
-                break
-    else:
-        raise ConvergenceError(
-            f"SOR did not reach tol={tol:.3e} within {max_sweeps} sweeps (last update {dmax:.3e})",
-            residual=dmax,
-            sweeps=max_sweeps,
-        )
-    del passes, buffer, free  # free the scratch before the output grid is allocated
-    grid = np.empty((2 * w, 2 * w))
-    grid.reshape(w, 2, w, 2).transpose(1, 3, 0, 2)[...] = flat.reshape(2, 2, w, w)
-    return FieldGrid(values=grid[:n, :n])
+                return
+    raise ConvergenceError(
+        f"SOR did not reach tol={tol:.3e} within {max_sweeps} sweeps (last update {dmax:.3e})",
+        residual=dmax,
+        sweeps=max_sweeps,
+    )
 
 
 def downsample(grid: FieldGrid, coarse_n: int) -> FieldGrid:

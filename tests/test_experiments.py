@@ -121,6 +121,7 @@ class TestRunNoiseSweep:
         ("test_d", (0.3, 0.5, 0.3 + 5e-10), 0.3 + 5e-10),
         ("seeds", (0, 1, 1), 1),
         ("keep_fields_d", (0.36, 0.36), 0.36),
+        ("noise_levels", (math.nan, math.nan), math.nan),  # NaN equals nothing, yet repeats
     ])
     def test_a_repeated_value_is_refused_by_name(self, field, values, repeated):
         with pytest.raises(ValueError, match=f"^{field} repeats {re.escape(repr(repeated))}$"):
