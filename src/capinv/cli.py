@@ -13,7 +13,7 @@ import numpy as np
 
 from . import experiments, fields, generative, inverse
 from .network import DEFAULT_LEARNING_RATES, TrainingError
-from .textio import _field_block, _row, _writing
+from .textio import _field_block, _named, _row, _writing
 
 _USAGE_ERRORS = (
     fields.ConvergenceError,
@@ -170,7 +170,7 @@ def _cmd_invert(args) -> int:
         pipeline, args.d, args.noise, args.seed, corrupt_field_first=args.corrupt_field_first
     )
     meta = {"approach": args.approach, "optimizer": pipeline.optimizer_tag,
-            "d": repr(args.d), "e": repr(args.noise), "seed": args.seed}
+            "d": args.d, "e": args.noise, "seed": args.seed}
     with _writing(args.out) as fh:
         fh.write(_field_block(meta, grid.values))
     print(f"wrote recovered {grid.n}x{grid.n} field to {args.out}")
@@ -220,10 +220,8 @@ _SWEEP_KEYS = {
 
 
 def _parse_sweep_config(path) -> dict:
-    try:
+    with _named(path):
         text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -238,10 +236,8 @@ def _parse_sweep_config(path) -> dict:
         )
         if parse is None:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
+        with _named(f"{path}: {key}"):
             values[key] = parse(val.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {key}: {exc}") from None
     required = ["train_data", "out_dir"]
     if values.get("test_d", experiments.SweepConfig.test_d):  # an empty test_d sweeps no cells
         required.append("test_data")
@@ -253,12 +249,10 @@ def _parse_sweep_config(path) -> dict:
 
 def _cmd_sweep(args) -> int:
     cfg = _parse_sweep_config(args.config)
-    try:
+    with _named(args.config):
         sweep_config = experiments.SweepConfig(
             **{f.name: cfg[f.name] for f in dataclasses.fields(experiments.SweepConfig) if f.name in cfg}
         )
-    except ValueError as exc:
-        raise ValueError(f"{args.config}: {exc}") from None
     train_set = fields.load_dataset(cfg["train_data"])
     # Only the cells read the test set, and a timing-only sweep has none.
     test_set = fields.load_dataset(cfg["test_data"]) if sweep_config.test_d else None
@@ -275,10 +269,9 @@ def _cmd_sweep(args) -> int:
         model = generative.load_model(cfg[model_key])
         tag = cfg.get(f"optimizer_{name}", generative.GenerativeTrainConfig.optimizer)
         pipelines[name] = inverse.fit_pipeline("latent", train_set, model=model, optimizer_tag=tag)
-    try:  # a cell records its own error, so what escapes is about the test set
+    # A cell records its own error, so what escapes is about the test set.
+    with _named(cfg.get("test_data")):
         result = experiments.run_noise_sweep(sweep_config, pipelines, test_set)
-    except ValueError as exc:
-        raise ValueError(f"{cfg['test_data']}: {exc}") from None
     timing = None
     if cfg.get("timing_reps") != 0:
         reps = {"repetitions": cfg["timing_reps"]} if "timing_reps" in cfg else {}

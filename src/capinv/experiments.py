@@ -23,7 +23,7 @@ from .inverse import (
     fit_regression,
     inverse_predict,
 )
-from .textio import _field_block, _writing
+from .textio import _field_block, _text, _writing
 
 __all__ = [
     "ssd",
@@ -279,12 +279,6 @@ def run_timing(pipelines: dict, dataset: Dataset, repetitions: int = 100) -> lis
     return rows
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    return repr(float(value))
-
-
 def export_results(result: SweepResult, out_dir, timing: list | None = None) -> list:
     """Write the plot-ready tables into out_dir; returns the paths written.
 
@@ -305,10 +299,10 @@ def export_results(result: SweepResult, out_dir, timing: list | None = None) -> 
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in EXPORT_NAMES]
 
-    blocks = [({"approach": "groundtruth", "optimizer": "-", "d": repr(float(d)), "e": "-", "seed": "-"}, values)
+    blocks = [({"approach": "groundtruth", "optimizer": "-", "d": d, "e": None, "seed": None}, values)
               for d, values in result.groundtruth]
     blocks += [({"approach": cell.approach, "optimizer": cell.optimizer,
-                 "d": repr(cell.d), "e": repr(cell.e), "seed": cell.seed}, cell.field_values)
+                 "d": cell.d, "e": cell.e, "seed": cell.seed}, cell.field_values)
                for cell in result.cells if cell.field_values is not None]
     with _writing(paths[0]) as fh:
         fh.writelines(_field_block(meta, values) for meta, values in blocks)
@@ -318,19 +312,18 @@ def export_results(result: SweepResult, out_dir, timing: list | None = None) -> 
     fig8, fig9 = [header], [header]
     for row in aggregates:
         (fig9 if row.optimizer == "adam" else fig8).append(
-            [row.approach, row.optimizer, repr(row.d), repr(row.e), row.n_seeds,
-             _fmt(row.ssd_median), _fmt(row.ssd_iqr)]
+            [row.approach, row.optimizer, row.d, row.e, row.n_seeds, row.ssd_median, row.ssd_iqr]
         )
 
     table2 = [["stage"]]
     if timing is not None:  # one column per row of timing, next to the labels
         columns = [[row.approach, row.optimizer, row.space_dim,
-                    *(_fmt(getattr(row, f"{stage}_ms")) for stage in TIMING_STAGES), _fmt(row.total_ms)]
+                    *(_text(getattr(row, f"{stage}_ms")) for stage in TIMING_STAGES), _text(row.total_ms)]
                    for row in timing]
         table2 = list(zip(["stage", "optimizer", "space_dim", *TIMING_STAGES, "total"], *columns))
 
     cells = [["approach", "optimizer", "d", "e", "seed", "ssd", "error"]]
-    cells += [[cell.approach, cell.optimizer, repr(cell.d), repr(cell.e), cell.seed, repr(cell.ssd), cell.error or ""]
+    cells += [[cell.approach, cell.optimizer, cell.d, cell.e, cell.seed, cell.ssd, cell.error]
               for cell in result.cells]
 
     for path, rows in zip(paths[1:], (fig8, fig9, table2, cells)):

@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .textio import _header, _reading, _row, _writing
+from .textio import _header, _reading, _row, _text, _writing
 
 __all__ = [
     "GeometryError",
@@ -453,10 +453,10 @@ def save_dataset(dataset: Dataset, path) -> None:
     the grid_n^2 normalized potentials. Floats are written with repr so a
     save/load round trip is bit-exact.
     """
-    head = {"grid": dataset.grid_n, "count": len(dataset), "v0": repr(float(dataset.v0))}
+    head = {"grid": dataset.grid_n, "count": len(dataset), "v0": float(dataset.v0)}
     with _writing(path) as fh:
         fh.write(_header("", head, ",") + "\n")
-        fh.writelines(f"{float(dv)!r},{_row(row)}\n" for dv, row in zip(dataset.d, dataset.fields))
+        fh.writelines(f"{_text(dv)},{_row(row)}\n" for dv, row in zip(dataset.d, dataset.fields))
 
 
 def load_dataset(path) -> Dataset:

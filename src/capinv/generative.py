@@ -24,7 +24,7 @@ from .network import (
     minibatch_stream,
     single_blas_thread,
 )
-from .textio import _header, _reading, _row, _vector, _writing
+from .textio import _header, _reading, _row, _text, _vector, _writing
 
 __all__ = [
     "KINDS",
@@ -289,14 +289,14 @@ def train_generative(kind: str, fields, config: GenerativeTrainConfig | None = N
 
 def _read_mlp(lines) -> Mlp:
     """One network block of a model file, as save_model writes it."""
-    head = lines.header("mlp", {"layers": lambda v: [int(s) for s in v.split(":")],
+    head = lines.header("mlp", {"layers": lambda v: tuple(int(s) for s in v.split(":")),
                                 "activations": lambda v: tuple(v.split(":"))})
     sizes = head["layers"]
     if len(sizes) < 2 or min(sizes) < 0:
-        raise ValueError(f"mlp layers must be at least two nonnegative sizes, got {':'.join(map(str, sizes))}")
+        raise ValueError(f"mlp layers must be at least two nonnegative sizes, got {_text(sizes)}")
     if len(head["activations"]) != len(sizes) - 1:
         raise ValueError(f"mlp activations must give one name per layer ({len(sizes) - 1}), "
-                         f"got {':'.join(head['activations'])!r}")
+                         f"got {_text(head['activations'])!r}")
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -314,8 +314,7 @@ def save_model(model: GenerativeModel, path) -> None:
     with _writing(path) as fh:
         fh.write(_header("generative", {"kind": model.kind, "latent": model.latent_dim}) + "\n")
         for net in (model.encoder, model.decoder):
-            sizes = ":".join(str(s) for s in net.layer_sizes)
-            fh.write(_header("mlp", {"layers": sizes, "activations": ":".join(net.activations)}) + "\n")
+            fh.write(_header("mlp", {"layers": net.layer_sizes, "activations": net.activations}) + "\n")
             for w, b in zip(net.weights, net.biases):
                 fh.write(f"weights {w.shape[0]} {w.shape[1]}\n")
                 fh.writelines(_row(row) + "\n" for row in w)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import Dataset, FieldGrid
 from .generative import GenerativeModel, encode, decode
-from .textio import _header, _reader, _reading, _vector, _writing
+from .textio import _header, _named, _reader, _reading, _vector, _writing
 
 __all__ = [
     "RegressionError",
@@ -352,7 +352,7 @@ def save_pipeline(pipeline: InversePipeline, path) -> None:
     scalars = {"intercept": reg.intercept, "fit_residual": reg.fit_residual, "anchor_d": pipeline.anchor_d}
     with _writing(path) as fh:
         fh.write(_header("regression", head) + "\n")
-        fh.writelines(_header("", {key: repr(float(value))}) + "\n" for key, value in scalars.items())
+        fh.writelines(_header("", {key: float(value)}) + "\n" for key, value in scalars.items())
         for tag, vec in (("phi", reg.phi), ("anchor", pipeline.anchor), ("anchor_field", pipeline.anchor_field)):
             fh.write(_vector(tag, vec))
 
@@ -361,11 +361,8 @@ def _read_space(path) -> str:
     """The search space in the header of a save_pipeline artifact, read
     without the rest: a latent artifact does not load without its model, so
     a caller that asked for another approach checks this first."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return _reader(fh, "regression artifact").header("regression", {"space": str})["space"]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with _named(path), open(path, "r", encoding="ascii") as fh:
+        return _reader(fh, "regression artifact").header("regression", {"space": str})["space"]
 
 
 def load_pipeline(path, model: GenerativeModel | None = None) -> InversePipeline:

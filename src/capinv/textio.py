@@ -4,6 +4,12 @@ A file is a sequence of lines: `key=value` headers, `tag count` lines and
 rows of floats written with repr and joined by commas, so that a
 save/load round trip is bit exact. Readers skip blank lines.
 
+textio spells every value a capinv file holds: _text writes a float with
+repr, which float() reads back bit for bit, a tuple joined by ":" and None
+(an absent stage) as "-". It names the file of every failure: _named puts
+"{path}: " in front of each ValueError a read raises. A header that repeats
+a key is refused, not read with its last copy.
+
 textio is the only capinv module that writes a file. _writing writes a
 sibling temporary file and moves it over the target only once it is
 complete, so every capinv output is complete or absent, and a writer that
@@ -32,12 +38,23 @@ def _row(values) -> str:
     return ",".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
+def _text(value) -> str:
+    """How a capinv file spells value: a float (numpy floats included) by
+    repr, a tuple joined by ":", None as "-" and anything else by str."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ":".join(map(str, value))
+    return "-" if value is None else str(value)
+
+
 def _header(tag: str, fields: dict, sep: str = " ") -> str:
-    """`tag key=value ...`, or just the items when tag is empty. A value whose
-    text holds sep or a line break would not split back, so it is refused."""
+    """`tag key=value ...`, or just the items when tag is empty, each value
+    spelled by _text. A value whose text holds sep or a line break would not
+    split back, so it is refused."""
     items = []
     for key, value in fields.items():
-        text = str(value)
+        text = _text(value)
         for bad in (sep, "\n", "\r"):
             if bad in text:
                 raise ValueError(f"cannot write {key}={text!r}: a header value must not hold {bad!r}")
@@ -65,15 +82,22 @@ def _vector(tag: str, values) -> str:
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
+@contextmanager
+def _named(name):
+    """Re-raise every ValueError from the body with "{name}: " in front."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def _floats(line: str, width: int, what: str) -> list:
     """One row of exactly width floats, as float() parses them."""
     parts = line.split(",")
     if len(parts) != width:
         raise ValueError(f"{what} has {len(parts)} values, expected {width}")
-    try:
+    with _named(what):
         return list(map(float, parts))
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from None
 
 
 def _reader(fh, noun: str) -> SimpleNamespace:
@@ -109,6 +133,8 @@ def _reader(fh, noun: str) -> SimpleNamespace:
             items = items[1:]
         try:
             fields = dict(item.split("=", 1) for item in items)
+            if len(fields) < len(items):
+                raise ValueError("a key is repeated")
             return {**fields, **{key: kind(fields[key]) for key, kind in types.items()}}
         except (KeyError, ValueError) as exc:
             raise ValueError(f"malformed {noun} header {line!r}") from exc
@@ -153,14 +179,11 @@ def _reading(path, noun: str):
     """A _reader over the file at path, which must end where the body stops
     reading. Every ValueError from the body, including the checks of the
     objects it builds, is re-raised with "{path}: " in front."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = _reader(fh, noun)
-            yield lines
-            if not lines.at_end():
-                raise ValueError(f"unexpected data after the {noun}: {lines.take('')[:80]!r}")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with _named(path), open(path, "r", encoding="ascii") as fh:
+        lines = _reader(fh, noun)
+        yield lines
+        if not lines.at_end():
+            raise ValueError(f"unexpected data after the {noun}: {lines.take('')[:80]!r}")
 
 
 @contextmanager

@@ -443,6 +443,15 @@ class TestDataset:
         assert np.array_equal(back.d, ds.d)
         assert np.array_equal(back.fields, ds.fields)
 
+    def test_an_integer_v0_is_written_as_a_float(self, tmp_path):
+        ds = fields.Dataset(grid_n=2, v0=2, d=[0.5], fields=np.zeros((1, 4)))
+        path = tmp_path / "int.ds"
+        save_dataset(ds, path)
+        assert path.read_text().startswith("grid=2,count=1,v0=2.0\n")
+        back = load_dataset(path)
+        assert back.v0 == 2.0 and isinstance(back.v0, float)
+        assert np.array_equal(back.fields, ds.fields)
+
     def test_load_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("grid=21,count=2,v0=1.0\n0.5,1.0\n")

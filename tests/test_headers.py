@@ -111,6 +111,31 @@ def test_every_header_value_loads_or_fails_by_name(artifacts, capsys, kind):
     assert outcomes["loaded"] > 0 and outcomes["refused"] > 0, outcomes
 
 
+# One key of each file written a second time with another value that would
+# load on its own, so a reader taking the last copy would load it silently.
+REPEATED = {
+    "dataset": ("v0=1.5", "v0=1.5,v0=9.0"),
+    "model": ("activations=tanh:linear", "activations=tanh:linear activations=tanh:tanh"),
+    "regression": ("optimizer=-", "optimizer=- optimizer=adam"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOAD))
+def test_a_repeated_header_key_fails_by_name(artifacts, capsys, kind):
+    root, good = artifacts
+    old, new = REPEATED[kind]
+    text = good[kind].read_text()
+    assert text.count(old) == 1
+    path = root / f"repeated.{kind}"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError) as caught:
+        LOAD[kind](path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}: malformed ") and new in message, message
+    code = main(["invert", *_cli_args(kind, path, good), "--d", "0.5", "--out", str(root / "out.field")])
+    assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+
+
 @pytest.fixture(scope="module")
 def sweep_config(tmp_path_factory):
     """A small sweep config over saved fine_n=21 sets and an untrained model."""

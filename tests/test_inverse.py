@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from capinv import fields, generative
+from capinv import fields, generative, inverse
 from capinv.inverse import (
     InverseOptions,
     InversePipeline,
@@ -445,6 +445,26 @@ class TestPipelineSerialization:
         path = tmp_path / "tag.reg"
         save_pipeline(fit_pipeline("fullspace", synthetic_dataset([0.2, 0.5, 0.8]), optimizer_tag=tag), path)
         assert load_pipeline(path).optimizer_tag == tag
+
+    def test_a_reg_file_written_before_the_optimizer_tag_loads_untagged(self, tmp_path):
+        path = tmp_path / "old.reg"
+        pipe = fit_pipeline("fullspace", synthetic_dataset([0.2, 0.5, 0.8]), optimizer_tag="adam")
+        save_pipeline(pipe, path)
+        text = path.read_text()
+        assert text.startswith("regression space=fullspace grid=3 optimizer=adam\n")
+        path.write_text(text.replace(" optimizer=adam\n", "\n", 1))
+        back = load_pipeline(path)
+        assert back.optimizer_tag == inverse.UNTAGGED
+        assert np.array_equal(back.regression.phi, pipe.regression.phi)
+        assert np.array_equal(back.anchor_field, pipe.anchor_field)
+
+    def test_an_integer_anchor_d_is_written_as_a_float(self, tmp_path):
+        path = tmp_path / "int.reg"
+        pipe = dataclasses.replace(fit_pipeline("fullspace", synthetic_dataset([0.2, 0.5, 0.8])), anchor_d=1)
+        save_pipeline(pipe, path)
+        assert "\nanchor_d=1.0\n" in path.read_text()
+        back = load_pipeline(path)
+        assert back.anchor_d == 1.0 and isinstance(back.anchor_d, float)
 
     def test_latent_artifact_loads_only_with_its_model(self, tmp_path, unit_pipelines):
         path = tmp_path / "latent.reg"
