@@ -100,9 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run the noise sweep described by a config file",
         epilog="config keys: train_data, out_dir (required); test_data (required unless "
-        "test_d is empty); approaches (comma list, default fullspace); model_<name>= and "
-        "optimizer_<name>= per latent approach; noise_levels, test_d, seeds, keep_fields_d (comma lists); "
-        "timing_reps (0 disables timing); corrupt_field_first (true/false/yes/no/1/0).",
+        "test_d is empty); approaches (comma list, default fullspace); model_<name>= per latent "
+        "approach and optimizer_<name>= per approach; noise_levels, test_d, seeds, keep_fields_d (comma lists); "
+        "timing_reps (0 disables timing); corrupt_field_first (true/false/yes/no/1/0). A key given twice, "
+        "or one that acts on nothing, is refused before any file is read.",
     )
     p.add_argument("--config", required=True, help="key=value config file (one pair per line, # comments)")
     return parser
@@ -210,16 +211,27 @@ def _tag(text: str) -> str:
 
 
 # The parser of each fixed sweep config key. A key absent from the file keeps
-# the default of the SweepConfig field or run_timing argument it feeds.
+# the default of the SweepConfig field it feeds, or the one _SWEEP_DEFAULTS
+# reads from the library.
 _SWEEP_KEYS = {
     "train_data": str, "test_data": str, "out_dir": str, "approaches": _list(str.strip),
     "noise_levels": _list(_nonnegative(float)), "test_d": _list(float),
     "seeds": _list(_nonnegative(int)), "keep_fields_d": _list(float), "corrupt_field_first": _flag,
     "timing_reps": _nonnegative(int),
 }
+_SWEEP_DEFAULTS = {
+    "approaches": inverse.SPACES[:1],  # fullspace alone
+    "timing_reps": inspect.signature(experiments.run_timing).parameters["repetitions"].default,
+}
 
 
-def _parse_sweep_config(path) -> dict:
+def _parse_sweep_config(path) -> tuple:
+    """The values of a sweep config and the SweepConfig they build.
+
+    Every key is checked here, so a refused config fails naming its path
+    before any file it names is opened. approaches and timing_reps are
+    filled in when the file leaves them out.
+    """
     with _named(path):
         text = Path(path).read_text(encoding="ascii")
     values: dict = {}
@@ -236,46 +248,53 @@ def _parse_sweep_config(path) -> dict:
         )
         if parse is None:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: repeats key {key!r}")
         with _named(f"{path}: {key}"):
             values[key] = parse(val.strip())
-    required = ["train_data", "out_dir"]
-    if values.get("test_d", experiments.SweepConfig.test_d):  # an empty test_d sweeps no cells
-        required.append("test_data")
-    for key in required:
-        if key not in values:
-            raise ValueError(f"{path}: missing required key {key!r}")
-    return values
+    values = {**_SWEEP_DEFAULTS, **values}
+    with _named(path):
+        config = experiments.SweepConfig(
+            **{f.name: values[f.name] for f in dataclasses.fields(experiments.SweepConfig) if f.name in values}
+        )
+        # an empty test_d sweeps no cells, so nothing reads the test set
+        for key in ("train_data", "out_dir", "test_data")[: 3 if config.test_d else 2]:
+            if key not in values:
+                raise ValueError(f"missing required key {key!r}")
+        approaches = values["approaches"]
+        for name in approaches:
+            if approaches.count(name) > 1:
+                raise ValueError(f"approaches repeats {name!r}")
+            if name != "fullspace" and f"model_{name}" not in values:
+                raise ValueError(f"approach {name!r} needs a model_{name}= entry in the config")
+        if "model_fullspace" in values:
+            raise ValueError("model_fullspace: the fullspace approach takes no model")
+        for key in values:  # the model_ and optimizer_ keys, by the approach they name
+            if key not in _SWEEP_KEYS and key.partition("_")[2] not in approaches:
+                raise ValueError(f"{key}: approaches does not list {key.partition('_')[2]!r}")
+        # A kept separation must be swept; the default keeps what it matches.
+        for d in values.get("keep_fields_d", ()):
+            if not experiments._same(config.test_d, d).any():
+                raise ValueError(f"keep_fields_d: {d!r} matches no test_d")
+    return values, config
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _parse_sweep_config(args.config)
-    with _named(args.config):
-        sweep_config = experiments.SweepConfig(
-            **{f.name: cfg[f.name] for f in dataclasses.fields(experiments.SweepConfig) if f.name in cfg}
-        )
+    cfg, sweep_config = _parse_sweep_config(args.config)
     train_set = fields.load_dataset(cfg["train_data"])
     # Only the cells read the test set, and a timing-only sweep has none.
     test_set = fields.load_dataset(cfg["test_data"]) if sweep_config.test_d else None
     pipelines = {}
-    for name in cfg.get("approaches", ("fullspace",)):
-        if name == "fullspace":
-            pipelines[name] = inverse.fit_pipeline(
-                "fullspace", train_set, optimizer_tag=cfg.get("optimizer_fullspace", inverse.UNTAGGED)
-            )
-            continue
-        model_key = f"model_{name}"
-        if model_key not in cfg:
-            raise ValueError(f"approach {name!r} needs a {model_key}= entry in the config")
-        model = generative.load_model(cfg[model_key])
-        tag = cfg.get(f"optimizer_{name}", generative.GenerativeTrainConfig.optimizer)
-        pipelines[name] = inverse.fit_pipeline("latent", train_set, model=model, optimizer_tag=tag)
+    for name in cfg["approaches"]:
+        latent = name != "fullspace"
+        model = generative.load_model(cfg[f"model_{name}"]) if latent else None
+        tag = cfg.get(f"optimizer_{name}", generative.GenerativeTrainConfig.optimizer if latent else inverse.UNTAGGED)
+        space = "latent" if latent else "fullspace"
+        pipelines[name] = inverse.fit_pipeline(space, train_set, model=model, optimizer_tag=tag)
     # A cell records its own error, so what escapes is about the test set.
     with _named(cfg.get("test_data")):
         result = experiments.run_noise_sweep(sweep_config, pipelines, test_set)
-    timing = None
-    if cfg.get("timing_reps") != 0:
-        reps = {"repetitions": cfg["timing_reps"]} if "timing_reps" in cfg else {}
-        timing = experiments.run_timing(pipelines, train_set, **reps)
+    timing = experiments.run_timing(pipelines, train_set, cfg["timing_reps"]) if cfg["timing_reps"] else None
     paths = experiments.export_results(result, cfg["out_dir"], timing=timing)
     failures = sum(1 for cell in result.cells if cell.error is not None)
     print(f"swept {len(result.cells)} cells ({failures} failed); wrote:")

@@ -537,6 +537,26 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {config}: test_d repeats 0.3\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("lines, key", [
+        ("approaches = fullspace, vae\n", "model_vae"),
+        ("seeds = 0\nseeds = 7\n", "seeds"),
+        ("test_d = 0.3, 0.5\nkeep_fields_d = 0.3, 0.4\n", "keep_fields_d"),
+        ("model_foo = absent.model\n", "model_foo"),
+        ("optimizer_bar = adam\n", "optimizer_bar"),
+        ("approaches = fullspace, fullspace\n", "approaches"),
+        ("model_fullspace = absent.model\n", "model_fullspace"),
+    ], ids=["missing-model", "repeated-key", "unswept-keep", "unlisted-model", "unlisted-optimizer",
+            "repeated-approach", "fullspace-model"])
+    def test_a_refused_key_fails_before_any_file_is_read(self, tmp_path, capsys, lines, key):
+        # train_data is absent, so a check made after the first load would fail on it instead
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"train_data={tmp_path / 'absent.ds'}\ntest_data={tmp_path / 'absent.ds'}\n"
+                          f"out_dir={tmp_path / 'o'}\n{lines}")
+        assert main(["sweep", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}:") and err.count("\n") == 1 and key in err, err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_rejected(self, workdir, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("train_data=x\ntest_data=y\nout_dir=z\nbogus=1\n")
