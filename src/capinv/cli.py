@@ -13,16 +13,10 @@ import numpy as np
 
 from . import experiments, fields, generative, inverse
 from .network import DEFAULT_LEARNING_RATES, TrainingError
-from .textio import _field_block, _named, _row, _writing
+from .textio import _field_block, _named, _row, _sized, _writing
 
-_USAGE_ERRORS = (
-    fields.ConvergenceError,
-    TrainingError,
-    inverse.InversionError,
-    ValueError,
-    OSError,
-    MemoryError,  # a size no machine can allocate, such as --count 10**16
-)
+# MemoryError: a size no machine can allocate, such as --count 10**16 (see _sized)
+_USAGE_ERRORS = (fields.ConvergenceError, TrainingError, inverse.InversionError, ValueError, OSError, MemoryError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +111,8 @@ def _cmd_generate(args) -> int:
             raise ValueError(f"--count must be positive, got {args.count}")
         if args.d_min > args.d_max:
             raise ValueError(f"--d-min {args.d_min} exceeds --d-max {args.d_max}")
-        d_values = np.linspace(args.d_min, args.d_max, args.count)
+        with _sized("--count", args.count):
+            d_values = np.linspace(args.d_min, args.d_max, args.count)
     dataset = fields.generate_dataset(
         d_values, a=args.a, b=args.b, v0=args.v0, fine_n=args.fine_n, coarse_n=args.coarse_n,
         omega=args.omega, tol=args.tol, max_sweeps=args.max_sweeps,
@@ -133,7 +128,8 @@ def _cmd_train(args) -> int:
         beta=args.beta, latent_dim=args.latent, hidden_dim=args.hidden,
     )
     dataset = fields.load_dataset(args.data)
-    model, history = generative.train_generative(args.kind, dataset.fields, config, seed=args.seed)
+    with _sized("--iters", args.iters):
+        model, history = generative.train_generative(args.kind, dataset.fields, config, seed=args.seed)
     generative.save_model(model, args.out)
     history_path = args.history if args.history is not None else f"{args.out}.history.csv"
     with _writing(history_path) as fh:
@@ -265,6 +261,8 @@ def _parse_sweep_config(path) -> tuple:
         for name in approaches:
             if approaches.count(name) > 1:
                 raise ValueError(f"approaches repeats {name!r}")
+            if name == experiments._GROUNDTRUTH:
+                raise ValueError(f"approaches: {name!r} is reserved for the true fields")
             if name != "fullspace" and f"model_{name}" not in values:
                 raise ValueError(f"approach {name!r} needs a model_{name}= entry in the config")
         if "model_fullspace" in values:
@@ -272,10 +270,6 @@ def _parse_sweep_config(path) -> tuple:
         for key in values:  # the model_ and optimizer_ keys, by the approach they name
             if key not in _SWEEP_KEYS and key.partition("_")[2] not in approaches:
                 raise ValueError(f"{key}: approaches does not list {key.partition('_')[2]!r}")
-        # A kept separation must be swept; the default keeps what it matches.
-        for d in values.get("keep_fields_d", ()):
-            if not experiments._same(config.test_d, d).any():
-                raise ValueError(f"keep_fields_d: {d!r} matches no test_d")
     return values, config
 
 
@@ -291,10 +285,12 @@ def _cmd_sweep(args) -> int:
         tag = cfg.get(f"optimizer_{name}", generative.GenerativeTrainConfig.optimizer if latent else inverse.UNTAGGED)
         space = "latent" if latent else "fullspace"
         pipelines[name] = inverse.fit_pipeline(space, train_set, model=model, optimizer_tag=tag)
+    # Timed first, so a timing_reps no machine can hold fails before the cells.
+    with _sized("timing_reps", cfg["timing_reps"]):
+        timing = experiments.run_timing(pipelines, train_set, cfg["timing_reps"]) if cfg["timing_reps"] else None
     # A cell records its own error, so what escapes is about the test set.
     with _named(cfg.get("test_data")):
         result = experiments.run_noise_sweep(sweep_config, pipelines, test_set)
-    timing = experiments.run_timing(pipelines, train_set, cfg["timing_reps"]) if cfg["timing_reps"] else None
     paths = experiments.export_results(result, cfg["out_dir"], timing=timing)
     failures = sum(1 for cell in result.cells if cell.error is not None)
     print(f"swept {len(result.cells)} cells ({failures} failed); wrote:")

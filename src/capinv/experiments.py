@@ -53,6 +53,8 @@ TIMING_STAGES = ("encoder", "regression", "inverse", "decoder")
 _TIMING_WARMUP = 10  # untimed calls per stage before the timed repetitions
 _TIMING_TARGET_D = 0.36  # separation the inverse stage is timed at
 _SAME_D = 1e-9  # separations this close are one: in the groundtruth lookup, the kept fields and repeat checks
+_GROUNDTRUTH = "groundtruth"  # the approach tag of the true fields in fig6, so no pipeline may take it
+_KEPT_D = 0.36  # the separation whose fields a sweep keeps by default, where it is swept
 
 
 def ssd(a: FieldGrid, b: FieldGrid) -> float:
@@ -70,22 +72,29 @@ class SweepConfig:
     """Grid of sweep cells: every approach x test d x noise level x seed.
 
     keep_fields_d lists the separations whose recovered grids are retained
-    on the cells (and exported as field blocks). No list may repeat a value,
-    NaN included; separations count as equal within 1e-9, as everywhere else.
+    on the cells (and exported as field blocks); each must be one of
+    test_d. Left out, it is 0.36 where test_d sweeps 0.36 and empty
+    elsewhere. No list may repeat a value, NaN included; separations count
+    as equal within 1e-9, as everywhere else.
     """
 
     noise_levels: tuple = (0.01, 0.1, 0.5, 1.0)
     test_d: tuple = TEST_D
     seeds: tuple = (0, 1, 2, 3, 4)
-    keep_fields_d: tuple = (0.36,)
+    keep_fields_d: tuple | None = None
     corrupt_field_first: bool = False
 
     def __post_init__(self) -> None:
+        if self.keep_fields_d is None:
+            object.__setattr__(self, "keep_fields_d", (_KEPT_D,) if _same(self.test_d, _KEPT_D).any() else ())
         for name, atol in (("noise_levels", 0.0), ("test_d", _SAME_D), ("seeds", 0.0), ("keep_fields_d", _SAME_D)):
             values = getattr(self, name)
             for i, value in enumerate(values):
                 if _same(values[:i], value, atol).any():
                     raise ValueError(f"{name} repeats {value!r}")
+        for d in self.keep_fields_d:
+            if not _same(self.test_d, d).any():
+                raise ValueError(f"keep_fields_d: {d!r} matches no test_d")
 
 
 @dataclass
@@ -136,8 +145,9 @@ def run_noise_sweep(config: SweepConfig, pipelines: dict, test_set: Dataset) -> 
     aborting the sweep. Cells are emitted in a fixed deterministic order
     (approach, then d, then e, then seed), and every cell is independent,
     so the result does not depend on evaluation order. A missing
-    groundtruth separation, or a pipeline of another grid than the test
-    set, fails before the first cell.
+    groundtruth separation, a pipeline named like the true fields
+    ('groundtruth'), or one of another grid than the test set, fails before
+    the first cell.
     """
     cells: list[SweepCell] = []
     truth: list[tuple[float, np.ndarray]] = []
@@ -149,6 +159,8 @@ def run_noise_sweep(config: SweepConfig, pipelines: dict, test_set: Dataset) -> 
             truth.append((float(d), reference.values))
         targets.append((d, reference, keep))
     for name, pipeline in pipelines.items():
+        if name == _GROUNDTRUTH:
+            raise ValueError(f"approach name {name!r} is reserved for the true fields")
         if targets and pipeline.grid_n != test_set.grid_n:
             raise ValueError(f"pipeline {name!r} has grid {pipeline.grid_n}, "
                              f"but the test set has grid {test_set.grid_n}")
@@ -226,11 +238,11 @@ class StageTiming:
         return sum(v for v in (self.encoder_ms, self.regression_ms, self.inverse_ms, self.decoder_ms) if v is not None)
 
 
-def _median_ms(fn, repetitions: int) -> float:
+def _median_ms(fn, samples: np.ndarray) -> float:
+    """The median of len(samples) timed calls of fn, in ms; samples is scratch."""
     for _ in range(_TIMING_WARMUP):
         fn()
-    samples = np.empty(repetitions)
-    for i in range(repetitions):
+    for i in range(len(samples)):
         t0 = time.perf_counter()
         fn()
         samples[i] = time.perf_counter() - t0
@@ -250,6 +262,7 @@ def run_timing(pipelines: dict, dataset: Dataset, repetitions: int = 100) -> lis
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
+    samples = np.empty(repetitions)  # before any stage runs, so a size no machine holds fails first
     rows = []
     for name, pipe in pipelines.items():
         if pipe.approach == "fullspace":
@@ -257,14 +270,14 @@ def run_timing(pipelines: dict, dataset: Dataset, repetitions: int = 100) -> lis
             encoder_ms = decoder_ms = None
         else:
             features = encode(pipe.model, dataset.fields)
-            encoder_ms = _median_ms(lambda: encode(pipe.model, pipe.anchor_field), repetitions)
+            encoder_ms = _median_ms(lambda: encode(pipe.model, pipe.anchor_field), samples)
         regression_ms = _median_ms(
-            lambda: fit_regression(features, dataset.d, space=pipe.approach), repetitions
+            lambda: fit_regression(features, dataset.d, space=pipe.approach), samples
         )
-        inverse_ms = _median_ms(lambda: inverse_predict(pipe.regression, _TIMING_TARGET_D, pipe.anchor), repetitions)
+        inverse_ms = _median_ms(lambda: inverse_predict(pipe.regression, _TIMING_TARGET_D, pipe.anchor), samples)
         if pipe.approach == "latent":
             solution = inverse_predict(pipe.regression, _TIMING_TARGET_D, pipe.anchor)
-            decoder_ms = _median_ms(lambda: decode(pipe.model, solution), repetitions)
+            decoder_ms = _median_ms(lambda: decode(pipe.model, solution), samples)
         rows.append(
             StageTiming(
                 approach=name,
@@ -299,7 +312,7 @@ def export_results(result: SweepResult, out_dir, timing: list | None = None) -> 
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in EXPORT_NAMES]
 
-    blocks = [({"approach": "groundtruth", "optimizer": "-", "d": d, "e": None, "seed": None}, values)
+    blocks = [({"approach": _GROUNDTRUTH, "optimizer": "-", "d": d, "e": None, "seed": None}, values)
               for d, values in result.groundtruth]
     blocks += [({"approach": cell.approach, "optimizer": cell.optimizer,
                  "d": cell.d, "e": cell.e, "seed": cell.seed}, cell.field_values)

@@ -14,11 +14,13 @@ with h = 1/(n-1), so row index follows y and column index follows x.
 from __future__ import annotations
 
 import math
+import mmap
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -230,28 +232,10 @@ def solve_sor(
     exhausted first.
     """
     n = mask.n
-    if omega is None:
-        omega = optimal_omega(n)
-    if tol is None:
-        scale = float(np.max(np.abs(mask.value))) if mask.fixed.any() else 0.0
-        tol = 1e-6 * (scale if scale > 0.0 else 1.0)
-    _check_solver(omega, tol, max_sweeps)
-
-    # The grid is held as four parity lattices in one (2, 2, w, w) block,
-    # w = (n + 1) // 2, taken through _parity from a (2w, 2w) grid whose
-    # padding stays 0. Each reshape copies, and rebinding frees the padded
-    # grid; the bool mask goes first, so it is gone before two float grids
-    # are alive at once.
+    lattice = _solve([mask], [""], n, omega, tol, max_sweeps)
     w = (n + 1) // 2
-    free = np.zeros((2 * w, 2 * w), dtype=bool)
-    free[1 : n - 1, 1 : n - 1] = ~mask.fixed[1:-1, 1:-1]  # the walls never move
-    free = _parity(free).reshape(2, 2, w * w)
-    flat = np.zeros((2 * w, 2 * w))
-    np.copyto(flat[:n, :n], mask.value, where=mask.fixed)
-    flat = _parity(flat).reshape(2, 2, w * w)
-    _relax(flat, free, w, omega, tol, max_sweeps)
     grid = np.empty((2 * w, 2 * w))
-    _parity(grid)[...] = flat.reshape(2, 2, w, w)
+    _parity(grid)[...] = lattice
     return FieldGrid(values=grid[:n, :n])
 
 
@@ -260,73 +244,152 @@ def _parity(g: np.ndarray) -> np.ndarray:
     return g.reshape(len(g) // 2, 2, -1, 2).transpose(1, 3, 0, 2)
 
 
-def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tol: float, max_sweeps: int) -> None:
-    """Run red-black SOR sweeps on the (2, 2, w*w) lattice block flat in place.
+def _solve(masks, names: list, n: int, omega: float | None = None, tol: float | None = None,
+           max_sweeps: int = 100_000) -> np.ndarray:
+    """Solve len(names) n x n masks as one stack; solve_sor's keywords apply to each.
 
-    Only the nodes where free holds move. Red ((i+j) even) and black nodes
-    neighbour only each other. In flat lattice (a, b), node k = I*w + J has
-    its up and down neighbours at k - (1-a)*w and w further on in lattice
-    (1-a, b), its left and right ones at k - (1-b) and 1 further on in
-    lattice (a, 1-b). So a pass reads five contiguous slices of one length,
-    from its first to its last free node; the nodes in that span that must
-    not move (walls, row wrap-around, padding, interior Dirichlet nodes) get
-    a zero update from a precomputed index list. Red passes come first and
-    the per-node arithmetic is that of a sweep over the n x n grid, so the
-    result is bit-identical to it. All pass scratch is local, so it is freed
-    before the caller allocates its output grid.
+    Sample s is lattice rows s*w to (s+1)*w of the returned (2, 2, k*w, w)
+    block, w = (n + 1) // 2, where block[a, b, s*w + I, J] is its node
+    (2I + a, 2J + b); nodes past n - 1 are zero padding. Each mask is
+    written into the block as masks yields it, so a caller can hand over a
+    generator and drop each mask once it is written. A sample that runs out
+    of sweeps raises ConvergenceError, its message led by names[s]; the
+    lowest such sample is the one named.
     """
+    if omega is None:
+        omega = optimal_omega(n)
+    _check_solver(omega, tol, max_sweeps)
+    w, k = (n + 1) // 2, len(names)
+    lattice = np.zeros((2, 2, k * w, w))
+    free = np.zeros((2, 2, k * w, w), dtype=bool)
+    tols = []
+    for s, mask in enumerate(masks):
+        for a in (0, 1):
+            for b in (0, 1):
+                fixed = mask.fixed[a::2, b::2]
+                at = (a, b, slice(s * w, s * w + fixed.shape[0]), slice(0, fixed.shape[1]))
+                np.copyto(lattice[at], mask.value[a::2, b::2], where=fixed)
+                np.logical_not(fixed, out=free[at])
+        g = free[:, :, s * w : (s + 1) * w].transpose(2, 0, 3, 1)  # g[i//2, i%2, j//2, j%2] is node (i, j)
+        g[0, 0] = g[(n - 1) // 2, (n - 1) % 2] = g[:, :, 0, 0] = g[:, :, (n - 1) // 2, (n - 1) % 2] = False  # walls
+        if tol is None:
+            scale = float(np.max(np.abs(mask.value))) if mask.fixed.any() else 0.0
+            tols.append(1e-6 * (scale if scale > 0.0 else 1.0))
+        else:
+            tols.append(tol)
+    failed = _relax(lattice.reshape(2, 2, -1), free.reshape(2, 2, -1), w, omega, tols, max_sweeps)
+    if failed is not None:
+        s, residual = failed
+        raise ConvergenceError(
+            f"{names[s]}SOR did not reach tol={tols[s]:.3e} within {max_sweeps} sweeps (last update {residual:.3e})",
+            residual=residual,
+            sweeps=max_sweeps,
+        )
+    return lattice
+
+
+def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list, max_sweeps: int):
+    """Run red-black SOR sweeps in place on k samples laid end to end in the (2, 2, k*w*w) block flat.
+
+    Sample s is nodes s*w*w to (s+1)*w*w of each lattice, and only the nodes
+    where free holds move. Red ((i+j) even) and black nodes neighbour only
+    each other. In flat lattice (a, b), node m = I*w + J has its up and down
+    neighbours at m - (1-a)*w and w further on in lattice (1-a, b), its left
+    and right ones at m - (1-b) and 1 further on in lattice (a, 1-b). So a
+    pass reads five contiguous slices of one length, from its first to its
+    last free node, across every sample. The nodes in that span that must
+    not move (walls, row wrap-around, padding, interior Dirichlet nodes and
+    the samples that have stopped) get a -0.0 update from a precomputed
+    index list, which leaves their bits as they are. A free node reads only
+    nodes of its own sample, since each sample's walls never move, so the
+    per-node arithmetic is that of a sweep over its own n x n grid: each
+    sample's result is bit-identical to solving it alone.
+
+    Each sample keeps its own tol, update history and stopping sweep; its
+    max update per pass is one segment of a maximum.reduceat over the pass.
+    A sample that stops is frozen: its nodes join the held ones. All pass
+    scratch is local, so it is freed before the caller makes its output.
+
+    Returns None once every sample has stopped, or (s, last update) of the
+    lowest sample s still moving when max_sweeps ran out.
+    """
+    size = w * w
     # One update buffer, as long as a lattice and sliced by each pass. It
     # starts on a 64-byte boundary: where malloc puts it depends on every
     # earlier allocation in the process, and off that boundary a solve
     # measured up to a third slower.
-    buffer = np.empty(w * w + 7)
-    buffer = buffer[(-buffer.ctypes.data % 64) // 8 :][: w * w]
-    passes = []
-    for a, b in ((1, 1), (0, 0), (1, 0), (0, 1)):
-        at = np.flatnonzero(free[a, b])
-        if at.size:
-            lo, hi = int(at[0]), int(at[-1]) + 1
-            up, left, span = lo - (1 - a) * w, lo - (1 - b), hi - lo
-            passes.append((
-                flat[a, b, lo:hi],
-                flat[1 - a, b, up : up + span],
-                flat[1 - a, b, up + w : up + w + span],
-                flat[a, 1 - b, left : left + span],
-                flat[a, 1 - b, left + 1 : left + 1 + span],
-                np.flatnonzero(~free[a, b, lo:hi]),
-                buffer[:span],
-            ))
+    buffer = np.empty(free.shape[2] + 7)
+    buffer = buffer[(-buffer.ctypes.data % 64) // 8 :][: free.shape[2]]
+    passes, maxima = _passes(flat, free, w, buffer, len(tols))
 
     window = 20  # sweeps between the two update samples used for the rho estimate
     safety = 0.2
-    updates: list[float] = []
-    dmax = math.inf
+    updates: list[list[float]] = [[] for _ in tols]
+    moving = list(range(len(tols)))
     for sweep in range(1, max_sweeps + 1):
-        dmax = 0.0
-        for target, up, down, left, right, hold, buf in passes:
+        for target, up, down, left, right, hold, buf, starts, out in passes:
             np.add(up, down, out=buf)
             buf += left
             buf += right
             buf *= 0.25
             buf -= target
             buf *= omega
-            buf[hold] = 0.0
+            buf[hold] = -0.0
             target += buf
             np.abs(buf, out=buf)
-            dmax = max(dmax, float(buf.max()))
-        updates.append(dmax)
-        if dmax == 0.0 or dmax < 1e-3 * tol:
-            return
-        if sweep > window and updates[-1 - window] > 0.0:
-            rho = (dmax / updates[-1 - window]) ** (1.0 / window)
-            rho = min(max(rho, 1e-6), 0.999999)
-            if dmax < safety * tol * min(1.0, (1.0 - rho) / max(rho, 0.5)):
-                return
-    raise ConvergenceError(
-        f"SOR did not reach tol={tol:.3e} within {max_sweeps} sweeps (last update {dmax:.3e})",
-        residual=dmax,
-        sweeps=max_sweeps,
-    )
+            np.maximum.reduceat(buf, starts, out=out)
+        last = maxima.max(axis=0, initial=0.0).tolist()
+        still = []
+        for s in moving:
+            history, tol = updates[s], tols[s]
+            history.append(last[s])
+            if last[s] == 0.0 or last[s] < 1e-3 * tol:
+                continue
+            if sweep > window and history[-1 - window] > 0.0:
+                rho = (last[s] / history[-1 - window]) ** (1.0 / window)
+                rho = min(max(rho, 1e-6), 0.999999)
+                if last[s] < safety * tol * min(1.0, (1.0 - rho) / max(rho, 0.5)):
+                    continue
+            still.append(s)
+        if not still:
+            return None
+        if len(still) < len(moving):
+            for s in set(moving).difference(still):
+                free[:, :, s * size : (s + 1) * size] = False
+            moving = still
+            passes, maxima = _passes(flat, free, w, buffer, len(tols))
+    return moving[0], updates[moving[0]][-1]
+
+
+def _passes(flat: np.ndarray, free: np.ndarray, w: int, buffer: np.ndarray, k: int) -> tuple:
+    """The red and black passes of _relax over the free nodes of flat, in
+    sweep order, and the (passes, k) table of each sample's max update per
+    pass. A pass holds its five slices, its held nodes, its update buffer,
+    the starts of its samples' segments in that buffer, and its row of the
+    table from the first sample it reaches to the last; a sample it does
+    not reach has no free node in it and keeps 0 there."""
+    size = w * w
+    passes = []
+    maxima = np.zeros((4, k))
+    for a, b in ((1, 1), (0, 0), (1, 0), (0, 1)):
+        moves = free[a, b]
+        if moves.any():
+            lo, hi = int(moves.argmax()), len(moves) - int(moves[::-1].argmax())
+            up, left, span = lo - (1 - a) * w, lo - (1 - b), hi - lo
+            first, end = lo // size, (hi - 1) // size + 1
+            starts = np.maximum(np.arange(first, end) * size - lo, 0)
+            passes.append((
+                flat[a, b, lo:hi],
+                flat[1 - a, b, up : up + span],
+                flat[1 - a, b, up + w : up + w + span],
+                flat[a, 1 - b, left : left + span],
+                flat[a, 1 - b, left + 1 : left + 1 + span],
+                np.flatnonzero(~moves[lo:hi]),
+                buffer[:span],
+                starts,
+                maxima[len(passes), first:end],
+            ))
+    return passes, maxima[: len(passes)]
 
 
 def downsample(grid: FieldGrid, coarse_n: int) -> FieldGrid:
@@ -387,18 +450,57 @@ def _worker_count(samples: int) -> int:
     return max(1, min(samples, cpus))
 
 
-def _solve_row(config: CapacitorConfig, solver: dict) -> np.ndarray:
-    """One sample's coarse field, flattened and divided by v0.
+# The most nodes per lattice in one stack: those of one fine_n=401 lattice,
+# 91 samples at fine_n=41, 15 at 101, 3 at 201. Two fine_n=401 samples in
+# one stack, past L2, ran 0.90 times as fast as the two solved one by one.
+_STACK_NODES = 201 * 201
 
-    The work function of generate_dataset's pool, so it is top-level and
-    takes only picklable arguments; it builds the mask again rather than
-    receive it, since the config is a few bytes and the mask megabytes.
+
+def _stacks(configs: list, workers: int) -> list:
+    """generate_dataset's configs cut into contiguous, evenly sized stacks:
+    as few as _STACK_NODES allows, in whole rounds of one per worker."""
+    if not configs:
+        return []
+    most = max(1, _STACK_NODES // ((configs[0].fine_n + 1) // 2) ** 2)
+    count = min(len(configs), workers * -(-len(configs) // (most * workers)))
+    cuts = [len(configs) * i // count for i in range(count + 1)]
+    return [configs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _solve_stack(rows: np.ndarray, first: int, configs: list, solver: dict) -> None:
+    """Solve one stack of samples and write their coarse fields, flattened
+    and divided by v0, to rows[first : first + len(configs)].
+
+    It builds each mask from its config, a few bytes, where a mask is
+    megabytes, and drops it once it is written into the stack. Each row is
+    taken straight from the solved lattice block, node for node as
+    downsample takes it.
     """
-    try:
-        fine = solve_sor(build_boundary_mask(config), **solver)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"sample d={config.d!r}: {exc}", residual=exc.residual, sweeps=exc.sweeps) from exc
-    return downsample(fine, config.coarse_n).values.ravel() / config.v0
+    head = configs[0]
+    names = [f"sample d={config.d!r}: " for config in configs]
+    lattice = _solve((build_boundary_mask(config) for config in configs), names, head.fine_n, **solver)
+    i = np.arange(0, head.fine_n, (head.fine_n - 1) // (head.coarse_n - 1))
+    at = np.arange(len(configs))[:, None, None] * lattice.shape[3] + i[:, None] // 2
+    coarse = lattice[i[:, None] % 2, i % 2, at, i // 2]
+    rows[first : first + len(configs)] = coarse.reshape(len(configs), -1) / head.v0
+
+
+# In a pool worker, the rows of the generate_dataset call that made the pool.
+_rows = None
+
+
+def _attach(rows: np.ndarray) -> None:
+    """The pool's initializer. A fork worker inherits rows, a shared
+    mapping, rather than receive it, so what it writes there the caller
+    reads, and no row comes back through a pipe."""
+    global _rows
+    _rows = rows
+
+
+def _solve_attached(first: int, configs: list, solver: dict) -> None:
+    """The pool's work function, top-level and with picklable arguments:
+    _solve_stack into the rows _attach gave this worker."""
+    _solve_stack(_rows, first, configs, solver)
 
 
 def generate_dataset(d_values, **options) -> Dataset:
@@ -412,10 +514,17 @@ def generate_dataset(d_values, **options) -> Dataset:
     failures are re-raised with the offending d in the message. Fields are
     flattened row-major and divided by v0, so entries lie in [-1, 1].
 
-    The solves run in a fork pool with one worker per available CPU, made
-    and shut down within the call; a single sample, a single CPU or a
-    platform without fork solves in this process. Each row is the same
-    computation either way, so the dataset has the same bytes.
+    The samples are cut into contiguous runs of ascending d, and each run
+    is solved as one stack: one lattice block that every SOR pass sweeps
+    at once, with each sample's own stopping sweep (see _relax). A stack
+    holds at most _STACK_NODES nodes per lattice, so at fine_n=401 it is
+    one sample, and at fine_n=41 up to 91 share each numpy call. The
+    stacks come in whole rounds of one per worker. They run in a fork pool
+    with one worker per available CPU, made and shut down within the call,
+    which write their rows straight into the dataset's shared mapping; a
+    single sample, a single CPU or a platform without fork solves in this
+    process. Each sample's arithmetic is that of solving it alone, in any
+    stack and any worker, so the dataset has the same bytes either way.
     """
     solver = {key: options.pop(key) for key in ("omega", "tol", "max_sweeps") if key in options}
     _check_solver(**solver)
@@ -426,7 +535,10 @@ def generate_dataset(d_values, **options) -> Dataset:
         except GeometryError as exc:
             raise GeometryError(f"sample d={dv!r}: {exc}") from exc
     coarse_n = options.get("coarse_n", CapacitorConfig.coarse_n)
-    rows = np.empty((len(configs), coarse_n * coarse_n), dtype=np.float64)
+    # A shared anonymous mapping, so the rows need no pickle on their way
+    # back: a pickled stack of rows left the caller's heap 0.2 MiB larger.
+    size = len(configs) * coarse_n * coarse_n
+    rows = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), count=size).reshape(len(configs), coarse_n * coarse_n)
     workers = _worker_count(len(configs))
     # fork, not spawn or forkserver: spawn re-imports numpy in every worker
     # of every call (+40% CPU on two fine_n=401 solves), and forkserver
@@ -434,13 +546,18 @@ def generate_dataset(d_values, **options) -> Dataset:
     # RUSAGE_CHILDREN. The workers run elementwise numpy only, no BLAS, and
     # OpenBLAS stops its thread pool before a fork (its pthread_atfork
     # handler), so the children do not inherit a held BLAS lock.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        context = multiprocessing.get_context("fork")
+        pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_attach, initargs=(rows,))
+    stacks = _stacks(configs, workers)
     try:
-        for i, row in enumerate((pool.map if pool else map)(_solve_row, configs, repeat(solver))):
-            rows[i] = row
+        work = _solve_attached if pool else partial(_solve_stack, rows)
+        for _ in (pool.map if pool else map)(work, accumulate(map(len, stacks), initial=0), stacks, repeat(solver)):
+            pass
     finally:
         if pool is not None:
-            # After a failed solve, the samples not yet handed to a worker are dropped.
+            # After a failed stack, the stacks not yet handed to a worker are dropped.
             pool.shutdown(cancel_futures=True)
     v0 = options.get("v0", CapacitorConfig.v0)
     return Dataset(grid_n=coarse_n, v0=v0, d=np.asarray([c.d for c in configs], dtype=np.float64), fields=rows)

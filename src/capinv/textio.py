@@ -7,7 +7,8 @@ save/load round trip is bit exact. Readers skip blank lines.
 textio spells every value a capinv file holds: _text writes a float with
 repr, which float() reads back bit for bit, a tuple joined by ":" and None
 (an absent stage) as "-". It names the file of every failure: _named puts
-"{path}: " in front of each ValueError a read raises. A header that repeats
+"{path}: " in front of each ValueError a read raises. _sized names the flag
+or key behind an array no machine can allocate. A header that repeats
 a key is refused, not read with its last copy.
 
 textio is the only capinv module that writes a file. _writing writes a
@@ -89,6 +90,19 @@ def _named(name):
         yield
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
+
+
+@contextmanager
+def _sized(name: str, size: int):
+    """Re-raise numpy's refusal of a size-value array from the body naming
+    the flag or key that gave the size: ", asked for by {name} {size}"
+    goes after numpy's message, which names the shape it was asked for."""
+    try:
+        yield
+    except MemoryError as exc:
+        if getattr(exc, "shape", None) != (size,):
+            raise
+        raise MemoryError(f"{exc}, asked for by {name} {size}") from exc
 
 
 def _floats(line: str, width: int, what: str) -> list:

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from capinv import fields, generative, inverse
+from capinv import experiments, fields, generative, inverse
 from capinv.cli import main
 from capinv.experiments import EXPORT_NAMES
 from capinv.network import DEFAULT_LEARNING_RATES
@@ -155,6 +155,39 @@ class TestExitCodes:
         }[command]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("generate", "--count"), ("train", "--iters"), ("sweep", "timing_reps")])
+    def test_a_size_no_machine_can_allocate_is_named(self, workdir, tmp_path, capsys, monkeypatch, command, flag):
+        # The timing runs before the cells, so a sweep fails before its first cell.
+        def no_cells(*args):
+            raise AssertionError("the sweep ran before the timing")
+
+        monkeypatch.setattr(experiments, "run_noise_sweep", no_cells)
+        huge, out = 10**16, tmp_path / "out"
+        config = tmp_path / "timing.cfg"
+        config.write_text(f"train_data={workdir / 'train.ds'}\nout_dir={out}\ntest_d=\ntiming_reps={huge}\n")
+        argv = {
+            "generate": ["generate", "--out", str(out), "--count", str(huge)],
+            "train": ["train", "--kind", "ae", "--data", str(workdir / "train.ds"), "--out", str(out),
+                      "--iters", str(huge)],
+            "sweep": ["sweep", "--config", str(config)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and f"shape ({huge},)" in err
+        assert err.endswith(f", asked for by {flag} {huge}\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_size_is_named_only_for_its_own_array(self, workdir, tmp_path, capsys):
+        # The weights of a huge hidden layer are refused inside the training
+        # call too, but their shape is not that of --iters.
+        out = tmp_path / "out"
+        argv = ["train", "--kind", "ae", "--data", str(workdir / "train.ds"), "--out", str(out), "--iters", "3",
+                "--hidden", str(10**14)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and "asked for by" not in err
         assert not out.exists()
 
 
@@ -555,6 +588,15 @@ class TestSweep:
         assert main(["sweep", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}:") and err.count("\n") == 1 and key in err, err
+        assert not (tmp_path / "o").exists()
+
+    def test_the_name_of_the_true_fields_is_refused_before_any_file_is_read(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"train_data={tmp_path / 'absent.ds'}\ntest_data={tmp_path / 'absent.ds'}\n"
+                          f"out_dir={tmp_path / 'o'}\napproaches = fullspace, groundtruth\n"
+                          f"model_groundtruth = {tmp_path / 'absent.model'}\n")
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: approaches: 'groundtruth' is reserved for the true fields\n"
         assert not (tmp_path / "o").exists()
 
     def test_unknown_key_rejected(self, workdir, tmp_path, capsys):

@@ -130,6 +130,25 @@ class TestRunNoiseSweep:
     def test_separations_1e_8_apart_are_distinct(self):
         assert SweepConfig(test_d=(0.3, 0.3 + 1e-8)).test_d == (0.3, 0.3 + 1e-8)
 
+    def test_kept_fields_default_to_0_36_where_it_is_swept(self):
+        assert SweepConfig().keep_fields_d == (0.36,)
+        assert SweepConfig(test_d=(0.3, 0.36 + 5e-10)).keep_fields_d == (0.36,)
+        assert SweepConfig(test_d=(0.3, 0.5)).keep_fields_d == ()
+        assert SweepConfig(test_d=()).keep_fields_d == ()
+
+    @pytest.mark.parametrize("kept", [0.99, 0.3 + 2e-9, math.nan])
+    def test_a_kept_separation_that_is_not_swept_is_refused_by_name(self, kept):
+        with pytest.raises(ValueError, match=f"^keep_fields_d: {re.escape(repr(kept))} matches no test_d$"):
+            SweepConfig(test_d=(0.3, 0.5), keep_fields_d=(0.5, kept))
+
+    def test_a_pipeline_named_like_the_true_fields_fails_before_any_cell(
+            self, unit_pipelines, unit_test_set, monkeypatch):
+        # its recovered fig6 blocks would carry the groundtruth blocks' tag
+        monkeypatch.setattr(inverse, "add_awgn", None)  # no cell may run
+        pipelines = {"fullspace": unit_pipelines["fullspace"], "groundtruth": unit_pipelines["ae"]}
+        with pytest.raises(ValueError, match="^approach name 'groundtruth' is reserved for the true fields$"):
+            run_noise_sweep(self.CONFIG, pipelines, unit_test_set)
+
     def test_a_test_set_of_another_grid_fails_before_any_cell(self, unit_pipelines, unit_test_set, monkeypatch):
         coarse = Dataset(grid_n=11, v0=1.0, d=unit_test_set.d, fields=np.zeros((len(unit_test_set), 121)))
         monkeypatch.setattr(inverse, "add_awgn", None)  # no cell may run

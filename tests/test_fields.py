@@ -123,11 +123,11 @@ def random_mask(n: int, seed: int, n_interior: int = 5) -> BoundaryMask:
     return BoundaryMask(fixed=fixed, value=value)
 
 
-def reference_sor(mask: BoundaryMask) -> np.ndarray:
+def reference_sor(mask: BoundaryMask, omega: float | None = None) -> np.ndarray:
     """Red-black SOR on the plain n x n grid through strided views, with the
     per-node arithmetic, pass order and stopping rule of solve_sor."""
     n = mask.n
-    omega = optimal_omega(n)
+    omega = optimal_omega(n) if omega is None else omega
     tol = 1e-6 * (float(np.max(np.abs(mask.value))) or 1.0)
     v = np.where(mask.fixed, mask.value, 0.0)
     passes = [(i0, j0, (~mask.fixed[i0 : n - 1 : 2, j0 : n - 1 : 2]).astype(np.float64))
@@ -155,6 +155,29 @@ def reference_sor(mask: BoundaryMask) -> np.ndarray:
             if dmax < 0.2 * tol * min(1.0, (1.0 - rho) / max(rho, 0.5)):
                 return v
     raise AssertionError("reference sweep did not converge")
+
+
+def stacked_sor(masks, **kwargs) -> list:
+    """Each sample's grid from one stacked solve of same-size masks."""
+    n = masks[0].n
+    w = (n + 1) // 2
+    lattice = fields._solve(masks, [f"sample {s}: " for s in range(len(masks))], n, **kwargs)
+    grids = []
+    for s in range(len(masks)):
+        grid = np.empty((2 * w, 2 * w))
+        fields._parity(grid)[...] = lattice[:, :, s * w : (s + 1) * w]
+        grids.append(grid[:n, :n])
+    return grids
+
+
+def closed_mask(n: int, seed: int, side: int) -> BoundaryMask:
+    """A mask whose free nodes are a side x side square in a corner of the
+    interior. With none it stops at sweep 1, and with one at omega=1 at
+    sweep 2, where a whole interior takes dozens of sweeps or more."""
+    rng = np.random.default_rng(seed)
+    fixed = np.ones((n, n), dtype=bool)
+    fixed[1 : 1 + side, 1 : 1 + side] = False
+    return BoundaryMask(fixed=fixed, value=np.where(fixed, rng.uniform(-1, 1, (n, n)), 0.0))
 
 
 class TestSolveSor:
@@ -287,6 +310,55 @@ class TestSolveSor:
                 fixed = rng.random((n, n)) < 0.15
                 mask = BoundaryMask(fixed=fixed, value=np.where(fixed, rng.uniform(-1, 1, (n, n)), 0.0))
                 assert solve_sor(mask).values.tobytes() == reference_sor(mask).tobytes(), (n, seed)
+
+    def test_each_sample_of_a_stack_has_the_bytes_of_its_own_solve(self):
+        # Odd and even n, omega 1 and the default, Dirichlet nodes inside and
+        # against the walls, walls left free, and samples with no free node,
+        # a few free rows and a whole free interior, which stop at sweep 1, a
+        # few sweeps in and many sweeps in, first, last and in between.
+        for n in (5, 8, 13, 22):
+            for omega in (None, 1.0):
+                masks = []
+                for seed in range(3):
+                    rng = np.random.default_rng(3000 * n + seed)
+                    fixed = rng.random((n, n)) < 0.15
+                    if seed != 2:
+                        fixed[[0, -1], :] = fixed[:, [0, -1]] = True
+                    masks.append(BoundaryMask(fixed=fixed, value=np.where(fixed, rng.uniform(-1, 1, (n, n)), 0.0)))
+                masks[1:1] = [closed_mask(n, n, 0), closed_mask(n, n + 1, 1)]
+                masks += [closed_mask(n, n + 2, 0)]
+                for order in (masks, masks[::-1]):
+                    for mask, got in zip(order, stacked_sor(order, omega=omega)):
+                        assert got.tobytes() == reference_sor(mask, omega).tobytes(), (n, omega)
+
+    def test_a_fixed_node_keeps_its_bits_negative_zero_included(self):
+        # A held node gets a -0.0 update, which leaves every value as it is,
+        # where +0.0 would turn a -0.0 wall or Dirichlet node into +0.0.
+        base = random_mask(9, 0)
+        value = np.where(base.fixed, -0.0, 0.0)
+        value[-1, :] = base.value[-1, :]
+        mask = BoundaryMask(fixed=base.fixed, value=value)
+        for got in (solve_sor(mask).values, *stacked_sor([mask, mask])):
+            assert got[mask.fixed].tobytes() == mask.value[mask.fixed].tobytes()
+
+    def test_a_stack_names_its_lowest_sample_out_of_sweeps(self):
+        # At omega=1 the sample with no free node stops at sweep 1 and the one
+        # with one free node at sweep 2; the two whole grids run out of
+        # sweeps. The lowest of those is named, with the residual of its own
+        # solve. No pass reaches the first sample, which must read 0 there
+        # and not the update of the node after it, which a wall potential
+        # moves from sweep 1 on.
+        n = 21
+        whole = [random_mask(n, 5), random_mask(n, 6)]
+        masks = [closed_mask(n, 1, 0), whole[0], closed_mask(n, 2, 1), whole[1]]
+        with pytest.raises(ConvergenceError) as alone:
+            solve_sor(whole[0], omega=1.0, max_sweeps=8)
+        with pytest.raises(ConvergenceError, match=r"^sample 1: SOR did not reach") as got:
+            stacked_sor(masks, omega=1.0, max_sweeps=8)
+        assert (got.value.residual, got.value.sweeps) == (alone.value.residual, 8)
+        assert str(got.value) == "sample 1: " + str(alone.value)
+        for mask, grid in zip(masks[::2], stacked_sor(masks[::2], omega=1.0, max_sweeps=2)):
+            assert grid.tobytes() == reference_sor(mask, 1.0).tobytes()
 
     def test_peak_memory_is_bounded_by_the_lattice_block(self):
         # A capacitor solve peaks at about 2.13 lattice blocks of 4*w*w
@@ -588,14 +660,16 @@ class TestDataset:
 
     @needs_pool
     def test_pool_keeps_the_bytes_of_one_call_per_d(self, monkeypatch):
+        # The pool pickles its work function by name, so the count is on the
+        # stacked solve the work function calls.
         calls = []
-        solve = fields.solve_sor
+        solve = fields._solve
 
         def counted(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(fields, "solve_sor", counted)
+        monkeypatch.setattr(fields, "_solve", counted)
         pooled = generate_dataset(POOLED_D, fine_n=41)
         assert not calls, "the pooled call solved in this process"
         single = [generate_dataset([dv], fine_n=41) for dv in sorted(POOLED_D)]
@@ -615,6 +689,61 @@ class TestDataset:
         ).stdout
         single = [generate_dataset([dv], fine_n=41) for dv in sorted(POOLED_D)]
         assert out == b"".join(ds.d.tobytes() for ds in single) + b"".join(ds.fields.tobytes() for ds in single)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork: no pool")
+    def test_four_small_samples_on_two_cpus_go_to_two_workers(self, monkeypatch):
+        # One stack would hold all four fine_n=41 samples, but each worker
+        # gets a stack of its own.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        made = []
+
+        class Recording(fields.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                made.append(workers)
+                super().__init__(workers, **kwargs)
+
+            def map(self, fn, firsts, stacks, *rest):
+                stacks = list(stacks)
+                made.append([[config.d for config in stack] for stack in stacks])
+                return super().map(fn, firsts, stacks, *rest)
+
+        monkeypatch.setattr(fields, "ProcessPoolExecutor", Recording)
+        generate_dataset(POOLED_D, fine_n=41)
+        assert made == [2, [sorted(POOLED_D)[:2], sorted(POOLED_D)[2:]]]
+
+    def test_stacks_are_even_runs_in_whole_rounds_of_workers(self):
+        configs = [CapacitorConfig(d=dv, fine_n=41) for dv in np.linspace(0.1, 0.9, 200)]
+        assert fields._STACK_NODES // 21**2 == 91
+        assert [len(s) for s in fields._stacks(configs, 2)] == [50, 50, 50, 50]
+        assert [len(s) for s in fields._stacks(configs, 1)] == [66, 67, 67]
+        assert [len(s) for s in fields._stacks(configs, 3)] == [66, 67, 67]
+        assert sum(fields._stacks(configs, 1), []) == configs
+        big = [CapacitorConfig(d=dv, fine_n=401) for dv in (0.3, 0.6)]
+        assert fields._stacks(big, 2) == [big[:1], big[1:]]
+        assert fields._stacks(big, 1) == [big[:1], big[1:]]
+        assert fields._stacks([], 1) == []
+
+    @pytest.mark.parametrize("stack_nodes", [10 * 21 * 21, 2 * 21 * 21], ids=["stacks-of-10", "stacks-of-2"])
+    def test_convergence_failure_names_the_lowest_failing_d(self, monkeypatch, stack_nodes):
+        # At 111 sweeps some fine_n=41 separations converge and some do not;
+        # the error names the lowest that fails alone, with its own residual,
+        # whether it shares a stack with a lower d that converges (stacks of
+        # up to 10) or comes in a later stack than that d (stacks of up to 2).
+        monkeypatch.setattr(fields, "_STACK_NODES", stack_nodes)
+        d_values = [0.15, 0.3, 0.45, 0.75, 0.2]
+        failures = {}
+        for dv in sorted(d_values):
+            try:
+                solve_sor(build_boundary_mask(CapacitorConfig(d=dv, fine_n=41)), max_sweeps=111)
+            except ConvergenceError as exc:
+                failures[dv] = exc
+        assert min(d_values) not in failures and len(failures) > 1
+        lowest = min(failures)
+        with pytest.raises(ConvergenceError) as got:
+            generate_dataset(d_values, fine_n=41, max_sweeps=111)
+        assert str(got.value) == f"sample d={lowest!r}: {failures[lowest]}"
+        assert (got.value.residual, got.value.sweeps) == (failures[lowest].residual, 111)
+        assert multiprocessing.active_children() == []
 
     @needs_pool
     def test_pooled_convergence_failure_names_the_lowest_d(self):
