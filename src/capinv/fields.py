@@ -14,13 +14,11 @@ with h = 1/(n-1), so row index follows y and column index follows x.
 from __future__ import annotations
 
 import math
-import mmap
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -467,9 +465,11 @@ def _stacks(configs: list, workers: int) -> list:
     return [configs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _solve_stack(rows: np.ndarray, first: int, configs: list, solver: dict) -> None:
-    """Solve one stack of samples and write their coarse fields, flattened
-    and divided by v0, to rows[first : first + len(configs)].
+def _solve_stack(configs: list, solver: dict) -> np.ndarray:
+    """generate_dataset's one work function, in the pool and in this process:
+    solve one stack of samples and return their (len(configs), coarse_n**2)
+    coarse fields, flattened and divided by v0. It is top-level and takes
+    picklable arguments, so the pool sends it by name.
 
     It builds each mask from its config, a few bytes, where a mask is
     megabytes, and drops it once it is written into the stack. Each row is
@@ -482,25 +482,7 @@ def _solve_stack(rows: np.ndarray, first: int, configs: list, solver: dict) -> N
     i = np.arange(0, head.fine_n, (head.fine_n - 1) // (head.coarse_n - 1))
     at = np.arange(len(configs))[:, None, None] * lattice.shape[3] + i[:, None] // 2
     coarse = lattice[i[:, None] % 2, i % 2, at, i // 2]
-    rows[first : first + len(configs)] = coarse.reshape(len(configs), -1) / head.v0
-
-
-# In a pool worker, the rows of the generate_dataset call that made the pool.
-_rows = None
-
-
-def _attach(rows: np.ndarray) -> None:
-    """The pool's initializer. A fork worker inherits rows, a shared
-    mapping, rather than receive it, so what it writes there the caller
-    reads, and no row comes back through a pipe."""
-    global _rows
-    _rows = rows
-
-
-def _solve_attached(first: int, configs: list, solver: dict) -> None:
-    """The pool's work function, top-level and with picklable arguments:
-    _solve_stack into the rows _attach gave this worker."""
-    _solve_stack(_rows, first, configs, solver)
+    return coarse.reshape(len(configs), -1) / head.v0
 
 
 def generate_dataset(d_values, **options) -> Dataset:
@@ -521,8 +503,8 @@ def generate_dataset(d_values, **options) -> Dataset:
     one sample, and at fine_n=41 up to 91 share each numpy call. The
     stacks come in whole rounds of one per worker. They run in a fork pool
     with one worker per available CPU, made and shut down within the call,
-    which write their rows straight into the dataset's shared mapping; a
-    single sample, a single CPU or a platform without fork solves in this
+    and each stack's rows are written into the dataset as they come back;
+    a single sample, a single CPU or a platform without fork solves in this
     process. Each sample's arithmetic is that of solving it alone, in any
     stack and any worker, so the dataset has the same bytes either way.
     """
@@ -535,10 +517,7 @@ def generate_dataset(d_values, **options) -> Dataset:
         except GeometryError as exc:
             raise GeometryError(f"sample d={dv!r}: {exc}") from exc
     coarse_n = options.get("coarse_n", CapacitorConfig.coarse_n)
-    # A shared anonymous mapping, so the rows need no pickle on their way
-    # back: a pickled stack of rows left the caller's heap 0.2 MiB larger.
-    size = len(configs) * coarse_n * coarse_n
-    rows = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), count=size).reshape(len(configs), coarse_n * coarse_n)
+    rows = np.empty((len(configs), coarse_n * coarse_n))
     workers = _worker_count(len(configs))
     # fork, not spawn or forkserver: spawn re-imports numpy in every worker
     # of every call (+40% CPU on two fine_n=401 solves), and forkserver
@@ -548,13 +527,13 @@ def generate_dataset(d_values, **options) -> Dataset:
     # handler), so the children do not inherit a held BLAS lock.
     pool = None
     if workers > 1:
-        context = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_attach, initargs=(rows,))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     stacks = _stacks(configs, workers)
     try:
-        work = _solve_attached if pool else partial(_solve_stack, rows)
-        for _ in (pool.map if pool else map)(work, accumulate(map(len, stacks), initial=0), stacks, repeat(solver)):
-            pass
+        first = 0
+        for block in (pool.map if pool else map)(_solve_stack, stacks, repeat(solver)):
+            rows[first : first + len(block)] = block
+            first += len(block)
     finally:
         if pool is not None:
             # After a failed stack, the stacks not yet handed to a worker are dropped.

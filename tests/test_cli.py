@@ -1,12 +1,17 @@
 """Command-line behavior: exit codes, artifact wiring between subcommands,
-and the sweep config parser. Everything runs in-process via cli.main."""
+and the sweep config parser. Everything but the end-to-end script runs
+in-process via cli.main."""
 
 import builtins
 import csv
 import errno
 import inspect
 import os
+import pathlib
 import re
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -622,3 +627,23 @@ class TestSweep:
         assert main(["sweep", "--config", str(config)]) == 1
         assert "model_vae" in capsys.readouterr().err
 
+
+class TestEndToEnd:
+    @pytest.mark.skipif(shutil.which("bash") is None, reason="no bash to run tools/e2e.sh")
+    def test_the_ci_chain_passes_through_a_capinv_command(self, tmp_path):
+        # tools/e2e.sh is the chain CI runs through the installed console
+        # script; here a shim named capinv, first on PATH, stands in for it.
+        root = pathlib.Path(__file__).resolve().parents[1]
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        shim = bin_dir / "capinv"
+        shim.write_text(f'#!{shutil.which("bash")}\nexec "{sys.executable}" -m capinv.cli "$@"\n')
+        shim.chmod(0o755)
+        env = dict(os.environ, PATH=os.pathsep.join(p for p in (str(bin_dir), os.environ.get("PATH")) if p))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        run = tmp_path / "run"
+        run.mkdir()
+        done = subprocess.run(["bash", str(root / "tools" / "e2e.sh"), str(run)], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert (run / "results" / "sweep_cells.csv").stat().st_size > 0

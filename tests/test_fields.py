@@ -627,10 +627,11 @@ class TestDataset:
         assert (str(back), back.residual, back.sweeps) == ("stalled", 0.25, 7)
 
     def test_bad_geometry_fails_before_any_solve(self, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solve_sor ran before the geometry check")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve or the pool started before the geometry check")
 
-        monkeypatch.setattr(fields, "solve_sor", no_solve)
+        monkeypatch.setattr(fields, "_solve", refuse)
+        monkeypatch.setattr(fields, "ProcessPoolExecutor", refuse)
         with pytest.raises(GeometryError, match=r"sample d=0\.999: degenerate"):
             generate_dataset([0.5, 0.3, 0.999], fine_n=401)
 
@@ -696,20 +697,38 @@ class TestDataset:
         # gets a stack of its own.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         made = []
+        stacks = fields._stacks
 
         class Recording(fields.ProcessPoolExecutor):
             def __init__(self, workers, **kwargs):
                 made.append(workers)
                 super().__init__(workers, **kwargs)
 
-            def map(self, fn, firsts, stacks, *rest):
-                stacks = list(stacks)
-                made.append([[config.d for config in stack] for stack in stacks])
-                return super().map(fn, firsts, stacks, *rest)
+        def recorded(configs, workers):
+            cut = stacks(configs, workers)
+            made.append([[config.d for config in stack] for stack in cut])
+            return cut
 
         monkeypatch.setattr(fields, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(fields, "_stacks", recorded)
         generate_dataset(POOLED_D, fine_n=41)
         assert made == [2, [sorted(POOLED_D)[:2], sorted(POOLED_D)[2:]]]
+
+    @needs_pool
+    @pytest.mark.parametrize("fine_n, coarse_n, v0", [(61, 21, 2.0), (40, 40, 1.0), (41, 5, 0.5)],
+                             ids=["odd-step", "even-side", "step-10"])
+    def test_pooled_stacked_rows_are_the_downsampled_solves(self, monkeypatch, fine_n, coarse_n, v0):
+        # Two workers get a stack of three each; every row the stacked
+        # gather takes has the bytes of downsample of that sample's own solve.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        d_values = [0.2, 0.3, 0.45, 0.6, 0.7, 0.85]
+        configs = [CapacitorConfig(d=dv, fine_n=fine_n, coarse_n=coarse_n, v0=v0) for dv in d_values]
+        assert [len(stack) for stack in fields._stacks(configs, fields._worker_count(len(configs)))] == [3, 3]
+        ds = generate_dataset(d_values, fine_n=fine_n, coarse_n=coarse_n, v0=v0)
+        assert ds.fields.shape == (len(d_values), coarse_n * coarse_n)
+        for config, row in zip(configs, ds.fields):
+            want = downsample(solve_sor(build_boundary_mask(config)), coarse_n).values.ravel() / v0
+            assert row.tobytes() == want.tobytes()
 
     def test_stacks_are_even_runs_in_whole_rounds_of_workers(self):
         configs = [CapacitorConfig(d=dv, fine_n=41) for dv in np.linspace(0.1, 0.9, 200)]
