@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import inspect
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -103,6 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _distinct(inputs: dict, outputs: dict) -> None:
+    """Refuse an output path that names an input or another output of the
+    same command, by flag: one file would silently replace the other."""
+    seen: dict = {}
+    for flag, path in {**inputs, **outputs}.items():
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen and flag in outputs:
+            raise ValueError(f"{flag} {path} names the same file as {seen[real]}")
+        seen.setdefault(real, flag)
+
+
 def _cmd_generate(args) -> int:
     if args.test_set:
         d_values = fields.TEST_D
@@ -123,6 +137,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    history_path = args.history if args.history is not None else f"{args.out}.history.csv"
+    _distinct({"--data": args.data}, {"--out": args.out, "--history": history_path})
     config = generative.GenerativeTrainConfig(
         optimizer=args.optimizer, learning_rate=args.lr, max_iterations=args.iters, minibatch_size=args.batch,
         beta=args.beta, latent_dim=args.latent, hidden_dim=args.hidden,
@@ -131,7 +147,6 @@ def _cmd_train(args) -> int:
     with _sized("--iters", args.iters):
         model, history = generative.train_generative(args.kind, dataset.fields, config, seed=args.seed)
     generative.save_model(model, args.out)
-    history_path = args.history if args.history is not None else f"{args.out}.history.csv"
     with _writing(history_path) as fh:
         fh.write("iteration,total,rec,kld\n")
         fh.writelines(f"{i},{_row(row)}\n" for i, row in enumerate(zip(history.total, history.rec, history.kld)))
@@ -146,6 +161,8 @@ def _cmd_invert(args) -> int:
         raise ValueError("pass exactly one of --regression or --data")
     if args.save_regression is not None and args.data is None:
         raise ValueError("--save-regression needs --data")
+    _distinct({"--model": args.model, "--regression": args.regression, "--data": args.data},
+              {"--save-regression": args.save_regression, "--out": args.out})
     model = None
     if args.approach == "latent":
         if args.model is None:

@@ -17,6 +17,7 @@ import numpy as np
 from .fields import Dataset, FieldGrid, TEST_D
 from .generative import decode, encode
 from .inverse import (
+    UNTAGGED,
     InversionError,
     _noisy_start,
     _solve_from,
@@ -312,7 +313,7 @@ def export_results(result: SweepResult, out_dir, timing: list | None = None) -> 
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in EXPORT_NAMES]
 
-    blocks = [({"approach": _GROUNDTRUTH, "optimizer": "-", "d": d, "e": None, "seed": None}, values)
+    blocks = [({"approach": _GROUNDTRUTH, "optimizer": UNTAGGED, "d": d, "e": None, "seed": None}, values)
               for d, values in result.groundtruth]
     blocks += [({"approach": cell.approach, "optimizer": cell.optimizer,
                  "d": cell.d, "e": cell.e, "seed": cell.seed}, cell.field_values)

@@ -229,16 +229,11 @@ def solve_sor(
     Raises ConvergenceError (carrying the last update) when max_sweeps is
     exhausted first.
     """
-    n = mask.n
-    lattice = _solve([mask], [""], n, omega, tol, max_sweeps)
-    w = (n + 1) // 2
-    grid = np.empty((2 * w, 2 * w))
-    _parity(grid)[...] = lattice
-    return FieldGrid(values=grid[:n, :n])
+    return FieldGrid(values=_solve([mask], [""], mask.n, omega, tol, max_sweeps)[0])
 
 
 def _parity(g: np.ndarray) -> np.ndarray:
-    """The (2, 2, w, w) view lattice[a, b, I, J] = g[2I + a, 2J + b] of a (2w, 2w) grid g."""
+    """The (2, 2, h, w) view lattice[a, b, I, J] = g[2I + a, 2J + b] of a (2h, 2w) grid g."""
     return g.reshape(len(g) // 2, 2, -1, 2).transpose(1, 3, 0, 2)
 
 
@@ -246,13 +241,15 @@ def _solve(masks, names: list, n: int, omega: float | None = None, tol: float | 
            max_sweeps: int = 100_000) -> np.ndarray:
     """Solve len(names) n x n masks as one stack; solve_sor's keywords apply to each.
 
-    Sample s is lattice rows s*w to (s+1)*w of the returned (2, 2, k*w, w)
-    block, w = (n + 1) // 2, where block[a, b, s*w + I, J] is its node
-    (2I + a, 2J + b); nodes past n - 1 are zero padding. Each mask is
-    written into the block as masks yields it, so a caller can hand over a
-    generator and drop each mask once it is written. A sample that runs out
-    of sweeps raises ConvergenceError, its message led by names[s]; the
-    lowest such sample is the one named.
+    Returns the (k, n, n) solved grids, k = len(names), grid s that of the
+    s-th mask. The solve runs on one (2, 2, k*w, w) parity lattice block,
+    where w = (n + 1) // 2 and block[a, b, s*w + I, J] is node
+    (2I + a, 2J + b) of sample s; nodes past n - 1 are zero padding. Once
+    _relax has freed its scratch, the block is written out once through
+    _parity. Each mask is written into the block as masks yields it, so a
+    caller can hand over a generator and drop each mask once it is
+    written. A sample that runs out of sweeps raises ConvergenceError, its
+    message led by names[s]; the lowest such sample is the one named.
     """
     if omega is None:
         omega = optimal_omega(n)
@@ -283,7 +280,9 @@ def _solve(masks, names: list, n: int, omega: float | None = None, tol: float | 
             residual=residual,
             sweeps=max_sweeps,
         )
-    return lattice
+    grids = np.empty((k, 2 * w, 2 * w))
+    _parity(grids.reshape(-1, 2 * w))[...] = lattice
+    return grids[:, :n, :n]
 
 
 def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list, max_sweeps: int):
@@ -473,16 +472,12 @@ def _solve_stack(configs: list, solver: dict) -> np.ndarray:
 
     It builds each mask from its config, a few bytes, where a mask is
     megabytes, and drops it once it is written into the stack. Each row is
-    taken straight from the solved lattice block, node for node as
-    downsample takes it.
+    downsample of its sample's solved grid.
     """
     head = configs[0]
     names = [f"sample d={config.d!r}: " for config in configs]
-    lattice = _solve((build_boundary_mask(config) for config in configs), names, head.fine_n, **solver)
-    i = np.arange(0, head.fine_n, (head.fine_n - 1) // (head.coarse_n - 1))
-    at = np.arange(len(configs))[:, None, None] * lattice.shape[3] + i[:, None] // 2
-    coarse = lattice[i[:, None] % 2, i % 2, at, i // 2]
-    return coarse.reshape(len(configs), -1) / head.v0
+    grids = _solve((build_boundary_mask(config) for config in configs), names, head.fine_n, **solver)
+    return np.array([downsample(FieldGrid(values=grid), head.coarse_n).values.ravel() / head.v0 for grid in grids])
 
 
 def generate_dataset(d_values, **options) -> Dataset:
@@ -493,8 +488,9 @@ def generate_dataset(d_values, **options) -> Dataset:
     out keeps its default there. Samples are solved independently from a
     cold start and stored in ascending d order. The solver options and every
     geometry are checked before the first solve starts. Solver and geometry
-    failures are re-raised with the offending d in the message. Fields are
-    flattened row-major and divided by v0, so entries lie in [-1, 1].
+    failures are re-raised with the offending d in the message. Each field
+    is downsample of its sample's solved fine grid, flattened row-major and
+    divided by v0, so entries lie in [-1, 1].
 
     The samples are cut into contiguous runs of ascending d, and each run
     is solved as one stack: one lattice block that every SOR pass sweeps

@@ -290,6 +290,22 @@ class TestTrain:
         assert main(args + ["--seed", "1"]) == 1
         _assert_kept(history, before, capsys)
 
+    def test_an_output_on_another_file_of_the_command_is_refused(self, workdir, tmp_path, capsys):
+        # --out and --history on one path would leave only the loss history
+        # there, and --out on --data would replace the training set. Paths
+        # are compared once resolved, so a second spelling is caught too.
+        data, model = tmp_path / "t.ds", tmp_path / "m.model"
+        shutil.copyfile(workdir / "train.ds", data)
+        (tmp_path / "alias").symlink_to(tmp_path)
+        base = ["train", "--kind", "ae", "--iters", "20", "--batch", "4", "--latent", "3", "--hidden", "8"]
+        assert main(base + ["--data", str(data), "--out", str(model), "--history", str(model)]) == 1
+        assert f"error: --history {model} names the same file as --out" in capsys.readouterr().err
+        alias = tmp_path / "alias" / "t.ds"
+        assert main(base + ["--data", str(data), "--out", str(alias)]) == 1
+        assert f"error: --out {alias} names the same file as --data" in capsys.readouterr().err
+        assert data.read_bytes() == (workdir / "train.ds").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["alias", "t.ds"]
+
     def test_bad_config_field_fails_before_training(self, workdir, tmp_path, capsys):
         out = tmp_path / "x.model"
         assert main(["train", "--kind", "ae", "--data", str(workdir / "train.ds"), "--out", str(out),
@@ -347,6 +363,25 @@ class TestInvert:
                      str(tmp_path / "again.reg"), "--d", "0.5", "--out", str(tmp_path / "b.field")]) == 1
         assert "error: --save-regression needs --data" in capsys.readouterr().err
         assert not (tmp_path / "again.reg").exists()
+
+    def test_an_output_on_another_file_of_the_command_is_refused(self, workdir, tmp_path, capsys):
+        # --save-regression and --out on one path would leave a field block
+        # where the regression was to be, and --out on --regression would
+        # replace the artifact it reads.
+        x = tmp_path / "x"
+        assert main(["invert", "--approach", "fullspace", "--data", str(workdir / "train.ds"),
+                     "--save-regression", str(x), "--d", "0.5", "--out", str(x)]) == 1
+        assert f"error: --out {x} names the same file as --save-regression" in capsys.readouterr().err
+        assert not x.exists()
+        reg = tmp_path / "full.reg"
+        assert main(["invert", "--approach", "fullspace", "--data", str(workdir / "train.ds"),
+                     "--save-regression", str(reg), "--d", "0.5", "--out", str(tmp_path / "a.field")]) == 0
+        before = reg.read_bytes()
+        capsys.readouterr()
+        assert main(["invert", "--approach", "fullspace", "--regression", str(reg),
+                     "--d", "0.5", "--out", str(reg)]) == 1
+        assert f"error: --out {reg} names the same file as --regression" in capsys.readouterr().err
+        assert reg.read_bytes() == before
 
     def test_latent_artifact_needs_its_model(self, workdir, tmp_path, capsys):
         reg = tmp_path / "vae.reg"

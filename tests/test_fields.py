@@ -159,15 +159,7 @@ def reference_sor(mask: BoundaryMask, omega: float | None = None) -> np.ndarray:
 
 def stacked_sor(masks, **kwargs) -> list:
     """Each sample's grid from one stacked solve of same-size masks."""
-    n = masks[0].n
-    w = (n + 1) // 2
-    lattice = fields._solve(masks, [f"sample {s}: " for s in range(len(masks))], n, **kwargs)
-    grids = []
-    for s in range(len(masks)):
-        grid = np.empty((2 * w, 2 * w))
-        fields._parity(grid)[...] = lattice[:, :, s * w : (s + 1) * w]
-        grids.append(grid[:n, :n])
-    return grids
+    return list(fields._solve(masks, [f"sample {s}: " for s in range(len(masks))], masks[0].n, **kwargs))
 
 
 def closed_mask(n: int, seed: int, side: int) -> BoundaryMask:
@@ -718,8 +710,8 @@ class TestDataset:
     @pytest.mark.parametrize("fine_n, coarse_n, v0", [(61, 21, 2.0), (40, 40, 1.0), (41, 5, 0.5)],
                              ids=["odd-step", "even-side", "step-10"])
     def test_pooled_stacked_rows_are_the_downsampled_solves(self, monkeypatch, fine_n, coarse_n, v0):
-        # Two workers get a stack of three each; every row the stacked
-        # gather takes has the bytes of downsample of that sample's own solve.
+        # Two workers get a stack of three each; every row has the bytes of
+        # downsample of that sample's own solve.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         d_values = [0.2, 0.3, 0.45, 0.6, 0.7, 0.85]
         configs = [CapacitorConfig(d=dv, fine_n=fine_n, coarse_n=coarse_n, v0=v0) for dv in d_values]
