@@ -242,8 +242,9 @@ def _parse_sweep_config(path) -> tuple:
     """The values of a sweep config and the SweepConfig they build.
 
     Every key is checked here, so a refused config fails naming its path
-    before any file it names is opened. approaches and timing_reps are
-    filled in when the file leaves them out.
+    before any file it names is opened; that includes an out_dir whose
+    exports would replace a file the sweep reads. approaches and
+    timing_reps are filled in when the file leaves them out.
     """
     with _named(path):
         text = Path(path).read_text(encoding="ascii")
@@ -271,7 +272,8 @@ def _parse_sweep_config(path) -> tuple:
             **{f.name: values[f.name] for f in dataclasses.fields(experiments.SweepConfig) if f.name in values}
         )
         # an empty test_d sweeps no cells, so nothing reads the test set
-        for key in ("train_data", "out_dir", "test_data")[: 3 if config.test_d else 2]:
+        required = ("train_data", "out_dir", "test_data")[: 3 if config.test_d else 2]
+        for key in required:
             if key not in values:
                 raise ValueError(f"missing required key {key!r}")
         approaches = values["approaches"]
@@ -287,6 +289,10 @@ def _parse_sweep_config(path) -> tuple:
         for key in values:  # the model_ and optimizer_ keys, by the approach they name
             if key not in _SWEEP_KEYS and key.partition("_")[2] not in approaches:
                 raise ValueError(f"{key}: approaches does not list {key.partition('_')[2]!r}")
+        inputs = {key: val for key, val in values.items()
+                  if key.startswith("model_") or key in required and key != "out_dir"}
+        _distinct({"--config": path, **inputs},
+                  {f"out_dir/{name}": os.path.join(values["out_dir"], name) for name in experiments.EXPORT_NAMES})
     return values, config
 
 

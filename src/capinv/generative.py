@@ -134,58 +134,39 @@ def kld_loss(mu, sigma) -> float:
 
 
 def _parameters(model: GenerativeModel) -> list:
-    """Every parameter array of the model, in the order of the steps' gradients."""
+    """Every parameter array of the model, in the order of _step's gradients."""
     return [*model.encoder.weights, *model.encoder.biases, *model.decoder.weights, *model.decoder.biases]
 
 
-def _split_grads(model: GenerativeModel, grads):
-    """(grads, encoder weights', encoder biases', decoder weights', decoder
-    biases' gradient arrays): the list given, or new arrays where it is None."""
+def _step(model: GenerativeModel, batch: np.ndarray, eps, beta: float, grads=None):
+    """(rec, kld, gradients) of one minibatch, the gradients in _parameters
+    order, written into grads where given. A vae draws its code under noise
+    eps and adds beta times the divergence; an ae uses neither and has kld 0.0."""
     if grads is None:
         grads = [np.empty(p.shape) for p in _parameters(model)]
     e, d = len(model.encoder.weights), len(model.decoder.weights)
-    return grads, grads[:e], grads[e : 2 * e], grads[2 * e : 2 * e + d], grads[2 * e + d :]
-
-
-def _ae_step(model: GenerativeModel, batch: np.ndarray, grads=None):
-    """(rec, 0.0, gradients) of one minibatch, the gradients in _parameters
-    order, written into grads where given."""
-    grads, ew, eb, dw, db = _split_grads(model, grads)
     rows = batch.shape[0]
     enc_cache = forward(model.encoder, batch)
-    dec_cache = forward(model.decoder, enc_cache[-1])
-    diff = dec_cache[-1] - batch
-    rec = 0.5 * float(np.sum(diff * diff)) / rows
-    diff /= rows  # the output gradient
-    g_code = backward(model.decoder, dec_cache, diff, out=(dw, db))[2]
-    backward(model.encoder, enc_cache, g_code, out=(ew, eb), input_grad=False)
-    return rec, 0.0, grads
-
-
-def _vae_step(model: GenerativeModel, batch: np.ndarray, eps: np.ndarray, beta: float, grads=None):
-    """(rec, kld, gradients) of one minibatch under noise eps, like _ae_step."""
-    grads, ew, eb, dw, db = _split_grads(model, grads)
-    rows = batch.shape[0]
-    z = model.latent_dim
-    enc_cache = forward(model.encoder, batch)
-    heads = enc_cache[-1]
-    mu = heads[:, :z]
-    lv = heads[:, z:]
-    sigma = np.exp(0.5 * lv)
-    code = mu + sigma * eps
+    code = enc_cache[-1]
+    kld = 0.0
+    if model.kind == "vae":
+        mu = code[:, : model.latent_dim]
+        lv = code[:, model.latent_dim :]
+        sigma = np.exp(0.5 * lv)
+        s2 = sigma * sigma
+        kld = 0.5 * float(np.sum(s2 + mu * mu - lv - 1.0)) / rows
+        code = mu + sigma * eps
     dec_cache = forward(model.decoder, code)
     diff = dec_cache[-1] - batch
-
-    s2 = sigma * sigma
     rec = 0.5 * float(np.sum(diff * diff)) / rows
-    kld = 0.5 * float(np.sum(s2 + mu * mu - lv - 1.0)) / rows
-
     diff /= rows  # the output gradient
-    g_code = backward(model.decoder, dec_cache, diff, out=(dw, db))[2]
-    # d code/d lv = sigma*eps/2; divergence terms: d/d mu = mu, d/d lv = (sigma^2 - 1)/2.
-    g_mu = g_code + beta * mu / rows
-    g_lv = g_code * (0.5 * sigma * eps) + beta * 0.5 * (s2 - 1.0) / rows
-    backward(model.encoder, enc_cache, np.concatenate([g_mu, g_lv], axis=1), out=(ew, eb), input_grad=False)
+    g_code = backward(model.decoder, dec_cache, diff, out=(grads[2 * e : 2 * e + d], grads[2 * e + d :]))[2]
+    if model.kind == "vae":
+        # d code/d lv = sigma*eps/2; divergence terms: d/d mu = mu, d/d lv = (sigma^2 - 1)/2.
+        g_mu = g_code + beta * mu / rows
+        g_lv = g_code * (0.5 * sigma * eps) + beta * 0.5 * (s2 - 1.0) / rows
+        g_code = np.concatenate([g_mu, g_lv], axis=1)
+    backward(model.encoder, enc_cache, g_code, out=(grads[:e], grads[e : 2 * e]), input_grad=False)
     return rec, kld, grads
 
 
@@ -254,11 +235,8 @@ def train_model(model: GenerativeModel, fields, config: GenerativeTrainConfig, r
     with single_blas_thread():
         for it in range(iters):
             batch = data[next(stream)]
-            if model.kind == "ae":
-                rec, kld, grads = _ae_step(model, batch, grads)
-            else:
-                eps = rng.standard_normal((batch.shape[0], model.latent_dim))
-                rec, kld, grads = _vae_step(model, batch, eps, config.beta, grads)
+            eps = rng.standard_normal((batch.shape[0], model.latent_dim)) if model.kind == "vae" else None
+            rec, kld, grads = _step(model, batch, eps, config.beta, grads)
             loss = rec + config.beta * kld
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at iteration {it}")

@@ -36,7 +36,7 @@ from capinv import (
     train_generative,
 )
 from capinv.fields import _worker_count
-from capinv.generative import _ae_step, _vae_step
+from capinv.generative import _step
 
 from test_fields import dense_solve
 
@@ -141,16 +141,10 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
         beta = 0.7
 
         def objective():
-            if kind == "ae":
-                rec, kld, _ = _ae_step(model, batch)
-            else:
-                rec, kld, _ = _vae_step(model, batch, eps, beta)
+            rec, kld, _ = _step(model, batch, eps, beta)
             return rec + beta * kld
 
-        if kind == "ae":
-            _, _, grads = _ae_step(model, batch)
-        else:
-            _, _, grads = _vae_step(model, batch, eps, beta)
+        _, _, grads = _step(model, batch, eps, beta)
         params = [*model.encoder.weights, *model.encoder.biases,
                   *model.decoder.weights, *model.decoder.biases]
         h = 1e-5

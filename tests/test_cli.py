@@ -630,6 +630,25 @@ class TestSweep:
         assert err.startswith(f"error: {config}:") and err.count("\n") == 1 and key in err, err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, name", [("train_data", "sweep_cells.csv"), ("model_vae", "fig8_ssd.csv"),
+                                           ("--config", "table2_timing.csv")])
+    def test_an_export_on_a_file_the_sweep_reads_is_refused(self, workdir, tmp_path, capsys, key, name):
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        files = {"train_data": workdir / "train.ds", "test_data": workdir / "test.ds", "model_vae": workdir / "vae.model"}
+        config = tmp_path / "sweep.cfg"
+        if key == "--config":
+            config = out_dir / name
+        else:
+            files[key] = shutil.copy(files[key], out_dir / name)
+        config.write_text("".join(f"{k}={v}\n" for k, v in files.items())
+                          + f"out_dir={out_dir}\napproaches=fullspace,vae\ntest_d=0.5\nseeds=0\ntiming_reps=0\n")
+        before = (out_dir / name).read_bytes()
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: out_dir/{name} {out_dir / name} names the same file as {key}\n"
+        assert (out_dir / name).read_bytes() == before
+        assert [p.name for p in out_dir.iterdir()] == [name]
+
     def test_the_name_of_the_true_fields_is_refused_before_any_file_is_read(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text(f"train_data={tmp_path / 'absent.ds'}\ntest_data={tmp_path / 'absent.ds'}\n"

@@ -418,6 +418,7 @@ class TestGeometry:
             dict(d=0.5, fine_n=400),  # 399 steps, not a multiple of 20
             dict(d=0.02, fine_n=21, coarse_n=21),  # both plate rows snap to row 10
             dict(d=0.999),  # a plate row snaps onto the wall while d < 1
+            dict(d=0.5, coarse_n=1),  # no check before coarse_n's raises a GeometryError
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -432,6 +433,8 @@ class TestGeometry:
             BoundaryMask(fixed=fixed, value=value)
         with pytest.raises(ValueError):
             BoundaryMask(fixed=np.zeros((4, 5), dtype=bool), value=np.zeros((4, 5)))
+        with pytest.raises(ValueError, match=r"^value shape \(4, 4\) does not match mask shape \(5, 5\)$"):
+            BoundaryMask(fixed=fixed, value=np.zeros((4, 4)))
         fixed[2, 2] = True
         for bad in (math.nan, math.inf):
             value[2, 2] = bad  # a fixed node with non-finite data
@@ -455,6 +458,12 @@ class TestDownsample:
     def test_rejects_indivisible(self):
         with pytest.raises(ValueError):
             downsample(FieldGrid(values=np.zeros((9, 9))), 4)
+        with pytest.raises(ValueError, match="^coarse_n must be at least 2, got 1$"):
+            downsample(FieldGrid(values=np.zeros((9, 9))), 1)
+        with pytest.raises(ValueError, match=r"^field grid must be square, got shape \(3, 4\)$"):
+            FieldGrid(values=np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="^unknown units 'amps'$"):
+            FieldGrid(values=np.zeros((3, 3)), units="amps")
 
 
 class TestDataset:
@@ -496,6 +505,10 @@ class TestDataset:
             fields.Dataset(grid_n=2, v0=1.0, d=[0.5], fields=[[0.0, math.nan, 0.0, 0.0]])
         with pytest.raises(ValueError, match="must be finite"):
             fields.Dataset(grid_n=2, v0=1.0, d=[math.inf], fields=np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="^d must be a 1-D array$"):
+            fields.Dataset(grid_n=2, v0=1.0, d=[[0.5]], fields=np.zeros((1, 4)))
+        with pytest.raises(ValueError, match=r"^fields shape \(1, 5\) does not match 1 samples of width 4$"):
+            fields.Dataset(grid_n=2, v0=1.0, d=[0.5], fields=np.zeros((1, 5)))
 
     def test_save_load_round_trip_is_bit_exact(self, tmp_path):
         ds = generate_dataset([0.3, 0.5], fine_n=41, coarse_n=21, v0=2.5)

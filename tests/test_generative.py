@@ -34,8 +34,7 @@ from capinv.generative import (
     save_model,
     train_model,
     train_generative,
-    _ae_step,
-    _vae_step,
+    _step,
 )
 from test_network import traced_peak_rise
 
@@ -72,6 +71,8 @@ class TestBuildModel:
             GenerativeModel(kind="ae", encoder=enc, decoder=dec, latent_dim=5)
         with pytest.raises(ValueError):
             build_model("pca", 10, 6, 3, rng)
+        with pytest.raises(ValueError, match="^decoder input width 4 != latent_dim 3$"):
+            GenerativeModel(kind="ae", encoder=enc, decoder=Mlp.init((4, 6, 10), ("tanh", "tanh"), rng), latent_dim=3)
         assert KINDS == ("ae", "vae")
 
 
@@ -120,6 +121,8 @@ class TestLosses:
         assert rec_loss(v, v) == 0.0
         shifted = v + 0.5
         assert rec_loss(v, shifted) == pytest.approx(0.5 * 0.25 * v.size, abs=1e-12)
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(4, 9\) vs \(4, 8\)$"):
+            rec_loss(v, v[:, :8])
 
     def test_kld_identities(self):
         assert kld_loss(np.zeros(7), np.ones(7)) == 0.0
@@ -144,6 +147,8 @@ class TestLosses:
     def test_kld_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             kld_loss(np.zeros(2), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"^shape mismatch: mu \(2,\) vs sigma \(3,\)$"):
+            kld_loss(np.zeros(2), np.ones(3))
 
 
 class TestStepGradients:
@@ -161,16 +166,10 @@ class TestStepGradients:
         beta = 0.8
 
         def objective():
-            if kind == "ae":
-                rec, kld, _ = _ae_step(model, batch)
-            else:
-                rec, kld, _ = _vae_step(model, batch, eps, beta)
+            rec, kld, _ = _step(model, batch, eps, beta)
             return rec + beta * kld
 
-        if kind == "ae":
-            _, _, grads = _ae_step(model, batch)
-        else:
-            _, _, grads = _vae_step(model, batch, eps, beta)
+        _, _, grads = _step(model, batch, eps, beta)
         params = self.params_of(model)
         assert len(grads) == len(params)
         h = 1e-5
@@ -191,17 +190,15 @@ class TestStepGradients:
 
 class TestStepBuffers:
     @staticmethod
-    def step_of(kind, model, batch, eps):
-        """The kind's step on batch, as a function of the gradient buffers."""
-        if kind == "ae":
-            return lambda grads=None: _ae_step(model, batch, grads)
-        return lambda grads=None: _vae_step(model, batch, eps, 0.7, grads)
+    def step_of(model, batch, eps):
+        """The model's step on batch, as a function of the gradient buffers."""
+        return lambda grads=None: _step(model, batch, eps, 0.7, grads)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_buffers_get_the_bytes_of_fresh_gradients(self, kind):
         rng = np.random.default_rng(6)
         model = build_model(kind, 9, 6, 3, rng)
-        step = self.step_of(kind, model, np.tanh(rng.normal(size=(4, 9))), rng.standard_normal((4, 3)))
+        step = self.step_of(model, np.tanh(rng.normal(size=(4, 9))), rng.standard_normal((4, 3)))
         fresh = step()
         buffers = [np.full(p.shape, np.nan) for p in TestStepGradients.params_of(model)]
         given = step(buffers)
@@ -215,15 +212,14 @@ class TestStepBuffers:
         model = build_model(kind, 441, 200, 20, rng)
         params = TestStepGradients.params_of(model)
         buffers = [np.empty(p.shape) for p in params]
-        step = self.step_of(kind, model, np.tanh(rng.normal(size=(20, 441))), rng.standard_normal((20, 20)))
+        step = self.step_of(model, np.tanh(rng.normal(size=(20, 441))), rng.standard_normal((20, 20)))
         limit = max(p.nbytes for p in params) // 2
         for _ in range(3):
             assert traced_peak_rise(lambda: step(buffers)) < limit
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_training_hands_every_later_step_the_first_steps_arrays(self, kind, monkeypatch):
-        name = f"_{kind}_step"
-        real_step = getattr(generative, name)
+        real_step = generative._step
         handed = []
 
         def spy(*args):
@@ -232,7 +228,7 @@ class TestStepBuffers:
             handed.append(out[2])
             return out
 
-        monkeypatch.setattr(generative, name, spy)
+        monkeypatch.setattr(generative, "_step", spy)
         config = GenerativeTrainConfig(max_iterations=4, minibatch_size=4, latent_dim=2, hidden_dim=3)
         train_generative(kind, toy_fields(8, 6, seed=3), config, seed=0)
         first = handed[1]
@@ -341,8 +337,8 @@ class TestTraining:
         zeros = np.zeros((4, z))
         for _ in range(40):
             batch = data[next(stream)]
-            rec_vae, _, grads_vae = _vae_step(vae, batch, zeros, 0.0)
-            rec_ae, _, grads_ae = _ae_step(ae, batch)
+            rec_vae, _, grads_vae = _step(vae, batch, zeros, 0.0)
+            rec_ae, _, grads_ae = _step(ae, batch, None, 0.0)
             assert rec_vae == pytest.approx(rec_ae, rel=1e-9, abs=1e-12)
             opt_vae.step(params(vae), grads_vae)
             opt_ae.step(params(ae), grads_ae)
@@ -363,6 +359,8 @@ class TestTraining:
             train_model(model, np.zeros((0, 5)), config, np.random.default_rng(0))
         with pytest.raises(ValueError):
             GenerativeTrainConfig(minibatch_size=0)
+        with pytest.raises(ValueError, match="^training fields must be 2-D$"):
+            train_generative("ae", np.zeros(5), config)
         for bad in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="beta"):
                 GenerativeTrainConfig(beta=bad)
@@ -370,7 +368,7 @@ class TestTraining:
                 GenerativeTrainConfig(learning_rate=bad)
 
     @pytest.mark.parametrize("field, bad", [("latent_dim", 0), ("latent_dim", -1), ("hidden_dim", 0),
-                                            ("optimizer", "sgd")])
+                                            ("optimizer", "sgd"), ("max_iterations", -1)])
     def test_config_names_a_bad_field(self, field, bad):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             GenerativeTrainConfig(**{field: bad})
@@ -507,13 +505,13 @@ class TestBlasThreads:
     def test_training_restores_the_callers_thread_count(self, monkeypatch):
         set_threads, get_threads = network._openblas_thread_control()
         seen = []
-        real_step = generative._ae_step
+        real_step = generative._step
 
-        def spy(model, batch, grads=None):
+        def spy(*args):
             seen.append(get_threads())
-            return real_step(model, batch, grads)
+            return real_step(*args)
 
-        monkeypatch.setattr(generative, "_ae_step", spy)
+        monkeypatch.setattr(generative, "_step", spy)
         config = GenerativeTrainConfig(optimizer="adam", max_iterations=5, minibatch_size=4, latent_dim=2, hidden_dim=3)
         data = toy_fields(8, 6, seed=3)
         before = get_threads()

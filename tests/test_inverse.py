@@ -145,6 +145,8 @@ class TestFitRegression:
             fit_regression(np.zeros(3), np.zeros(3), "fullspace")
         with pytest.raises(ValueError):
             RegressionModel(space="nowhere", phi=np.zeros(2), intercept=0.0, fit_residual=0.0)
+        with pytest.raises(ValueError, match="^phi must be a 1-D vector$"):
+            RegressionModel(space="latent", phi=np.zeros((2, 2)), intercept=0.0, fit_residual=0.0)
 
     def test_non_finite_intercept_or_residual_rejected(self):
         for intercept, residual in ((np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan)):
@@ -283,6 +285,8 @@ class TestInversePredict:
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"residual_tol must be finite and positive, got {tol}"):
                 InverseOptions(residual_tol=tol)
+        with pytest.raises(ValueError, match="^max_iterations must be nonnegative, got -1$"):
+            InverseOptions(max_iterations=-1)
 
 
 class TestPipeline:
@@ -306,6 +310,8 @@ class TestPipeline:
     def test_latent_needs_model(self, unit_train):
         with pytest.raises(ValueError):
             fit_pipeline("latent", unit_train)
+        with pytest.raises(ValueError, match=r"^unknown approach 'bogus', expected one of \('fullspace', 'latent'\)$"):
+            fit_pipeline("bogus", unit_train)
 
     def test_model_width_mismatch(self, unit_train):
         small = generative.build_model("ae", 9, 4, 2, np.random.default_rng(0))

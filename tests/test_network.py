@@ -114,6 +114,14 @@ class TestInit:
             Mlp(weights=[np.zeros((3, 2))], biases=[np.zeros(2)], activations=("relu",))
         with pytest.raises(ValueError):
             Mlp(weights=[np.full((3, 2), np.nan)], biases=[np.zeros(2)], activations=("tanh",))
+        with pytest.raises(ValueError, match="^network needs at least one layer$"):
+            Mlp(weights=[], biases=[], activations=())
+        with pytest.raises(ValueError, match="^weights, biases and activations must have one entry per layer$"):
+            Mlp(weights=[np.zeros((3, 2))], biases=[np.zeros(2)], activations=("tanh", "tanh"))
+        with pytest.raises(ValueError, match=r"^layer 0: weight must be 2-D, got shape \(3,\)$"):
+            Mlp(weights=[np.zeros(3)], biases=[np.zeros(3)], activations=("tanh",))
+        with pytest.raises(ValueError, match=r"^bad layer sizes \(3,\)$"):
+            Mlp.init((3,), ("tanh",), np.random.default_rng(0))
 
 
 class TestBackward:
@@ -180,6 +188,8 @@ class TestBackward:
             backward(net, cache, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             backward(net, forward(net, batch), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="^activation cache has 2 entries, expected 3$"):
+            backward(net, forward(net, batch)[:2], np.zeros((2, 4)))
 
 
 class TestOptimizers:
@@ -225,6 +235,8 @@ class TestOptimizers:
             Momentum(0.1).step(p, [np.array([np.inf])])
         with pytest.raises(ValueError):
             Momentum(0.1).step(p, [np.zeros(2)])
+        with pytest.raises(ValueError, match="^2 gradients for 1 parameters$"):
+            Momentum(0.1).step(p, [np.zeros(1), np.zeros(1)])
 
     def test_make_optimizer_pairs_default_rates(self):
         assert DEFAULT_LEARNING_RATES == {"momentum": 1e-5, "adam": 1e-3}

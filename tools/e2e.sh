@@ -41,6 +41,13 @@ done
 status=0
 capinv sweep --config repeat.cfg || status=$?
 test "$status" = 1 && test ! -e refused || { echo "a repeated sweep key exited $status, not 1"; exit 1; }
+# An export that would replace the training set is refused, and the set keeps its bytes.
+mkdir own && cp train.ds own/sweep_cells.csv
+printf '%s\n' "train_data = own/sweep_cells.csv" "test_data = test.ds" "out_dir = own" > own.cfg
+status=0
+capinv sweep --config own.cfg || status=$?
+test "$status" = 1 || { echo "a sweep over its own training set exited $status, not 1"; exit 1; }
+cmp train.ds own/sweep_cells.csv
 for f in train.ds test.ds even.ds ae.model ae.model.history.csv vae.model field.csv \
     full.reg ae.reg fit-full.csv fit-ae.csv reg-full.csv reg-ae.csv \
     results/fig6_fields.csv results/fig8_ssd.csv results/fig9_ssd.csv \
