@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, fields, generative, inverse
-from .network import DEFAULT_LEARNING_RATES, TrainingError
+from .network import DEFAULT_LEARNING_RATES, TrainingError, single_blas_thread
 from .textio import _field_block, _named, _row, _sized, _writing
 
 # MemoryError: a size no machine can allocate, such as --count 10**16 (see _sized)
@@ -242,9 +242,9 @@ def _parse_sweep_config(path) -> tuple:
     """The values of a sweep config and the SweepConfig they build.
 
     Every key is checked here, so a refused config fails naming its path
-    before any file it names is opened; that includes an out_dir whose
-    exports would replace a file the sweep reads. approaches and
-    timing_reps are filled in when the file leaves them out.
+    before any file it names is opened; that includes an out_dir that is
+    a file, or whose exports would replace a file the sweep reads.
+    approaches and timing_reps are filled in when the file leaves them out.
     """
     with _named(path):
         text = Path(path).read_text(encoding="ascii")
@@ -276,6 +276,12 @@ def _parse_sweep_config(path) -> tuple:
         for key in required:
             if key not in values:
                 raise ValueError(f"missing required key {key!r}")
+        # export_results makes out_dir, which fails only after every cell
+        # when out_dir, or the nearest part of it that exists, is a file.
+        out_dir = Path(values["out_dir"])
+        nearest = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+        if not nearest.is_dir():
+            raise ValueError(f"out_dir: {nearest} is not a directory")
         approaches = values["approaches"]
         for name in approaches:
             if approaches.count(name) > 1:
@@ -326,13 +332,24 @@ _COMMANDS = {"generate": _cmd_generate, "train": _cmd_train, "invert": _cmd_inve
 
 
 def main(argv=None) -> int:
+    """Run one capinv command and return its exit code: 0, 1 for a refused
+    input or a failed step, 2 for a usage error.
+
+    The command runs with BLAS on one thread (network.single_blas_thread),
+    and the caller's thread count is put back afterwards. No capinv matrix
+    product is big enough to gain from a second OpenBLAS thread, and after
+    a multi-threaded product OpenBLAS's idle helper thread keeps spinning
+    on another core for over 100 ms, which slows whatever runs next (the
+    README's determinism paragraph has the measurement).
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        with single_blas_thread():
+            return _COMMANDS[args.command](args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,7 @@ from .inverse import (
     fit_regression,
     inverse_predict,
 )
+from .network import single_blas_thread
 from .textio import _field_block, _text, _writing
 
 __all__ = [
@@ -259,37 +260,43 @@ def run_timing(pipelines: dict, dataset: Dataset, repetitions: int = 100) -> lis
     decoded). Each stage first runs _TIMING_WARMUP untimed calls.
     Fullspace has no encoder/decoder stage (None). The search-space
     dimension is recorded next to the timings. Times are hardware
-    specific; only their relative structure is meaningful.
+    specific; only their relative structure is meaningful. The stages run
+    with BLAS on one thread (network.single_blas_thread), as every capinv
+    command does, so no stage is timed while the idle helper thread of an
+    earlier multi-threaded product still spins on the other core.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
     samples = np.empty(repetitions)  # before any stage runs, so a size no machine holds fails first
     rows = []
-    for name, pipe in pipelines.items():
-        if pipe.approach == "fullspace":
-            features = dataset.fields
-            encoder_ms = decoder_ms = None
-        else:
-            features = encode(pipe.model, dataset.fields)
-            encoder_ms = _median_ms(lambda: encode(pipe.model, pipe.anchor_field), samples)
-        regression_ms = _median_ms(
-            lambda: fit_regression(features, dataset.d, space=pipe.approach), samples
-        )
-        inverse_ms = _median_ms(lambda: inverse_predict(pipe.regression, _TIMING_TARGET_D, pipe.anchor), samples)
-        if pipe.approach == "latent":
-            solution = inverse_predict(pipe.regression, _TIMING_TARGET_D, pipe.anchor)
-            decoder_ms = _median_ms(lambda: decode(pipe.model, solution), samples)
-        rows.append(
-            StageTiming(
-                approach=name,
-                optimizer=pipe.optimizer_tag,
-                space_dim=int(pipe.anchor.shape[0]),
-                encoder_ms=encoder_ms,
-                regression_ms=regression_ms,
-                inverse_ms=inverse_ms,
-                decoder_ms=decoder_ms,
+    with single_blas_thread():
+        for name, pipe in pipelines.items():
+            if pipe.approach == "fullspace":
+                features = dataset.fields
+                encoder_ms = decoder_ms = None
+            else:
+                features = encode(pipe.model, dataset.fields)
+                encoder_ms = _median_ms(lambda: encode(pipe.model, pipe.anchor_field), samples)
+            regression_ms = _median_ms(
+                lambda: fit_regression(features, dataset.d, space=pipe.approach), samples
             )
-        )
+            inverse_ms = _median_ms(
+                lambda: inverse_predict(pipe.regression, _TIMING_TARGET_D, pipe.anchor), samples
+            )
+            if pipe.approach == "latent":
+                solution = inverse_predict(pipe.regression, _TIMING_TARGET_D, pipe.anchor)
+                decoder_ms = _median_ms(lambda: decode(pipe.model, solution), samples)
+            rows.append(
+                StageTiming(
+                    approach=name,
+                    optimizer=pipe.optimizer_tag,
+                    space_dim=int(pipe.anchor.shape[0]),
+                    encoder_ms=encoder_ms,
+                    regression_ms=regression_ms,
+                    inverse_ms=inverse_ms,
+                    decoder_ms=decoder_ms,
+                )
+            )
     return rows
 
 

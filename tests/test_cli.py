@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from capinv import experiments, fields, generative, inverse
+from capinv import experiments, fields, generative, inverse, network
 from capinv.cli import main
 from capinv.experiments import EXPORT_NAMES
 from capinv.network import DEFAULT_LEARNING_RATES
@@ -649,6 +649,25 @@ class TestSweep:
         assert (out_dir / name).read_bytes() == before
         assert [p.name for p in out_dir.iterdir()] == [name]
 
+    @pytest.mark.parametrize("below", ["", "results"], ids=["file", "under-a-file"])
+    def test_an_out_dir_that_is_a_file_is_refused_before_any_file_is_read(self, workdir, tmp_path, capsys,
+                                                                          monkeypatch, below):
+        # the sweep itself would run, and only export_results' mkdir would fail
+        def no_load(path):
+            raise AssertionError(f"loaded {path}")
+
+        monkeypatch.setattr(fields, "load_dataset", no_load)
+        taken = tmp_path / "taken.ds"
+        shutil.copy(workdir / "train.ds", taken)
+        before = taken.read_bytes()
+        out_dir = taken / below if below else taken
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"train_data={workdir / 'train.ds'}\ntest_data={workdir / 'test.ds'}\n"
+                          f"out_dir={out_dir}\ntest_d=0.5\nseeds=0\ntiming_reps=0\n")
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: out_dir: {taken} is not a directory\n"
+        assert taken.read_bytes() == before
+
     def test_the_name_of_the_true_fields_is_refused_before_any_file_is_read(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text(f"train_data={tmp_path / 'absent.ds'}\ntest_data={tmp_path / 'absent.ds'}\n"
@@ -680,6 +699,34 @@ class TestSweep:
         )
         assert main(["sweep", "--config", str(config)]) == 1
         assert "model_vae" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(network._openblas_thread_control() is None, reason="no OpenBLAS thread-count symbol found")
+    def test_a_command_runs_on_one_thread_and_restores_the_callers_count(self, workdir, tmp_path, monkeypatch,
+                                                                        capsys):
+        set_threads, get_threads = network._openblas_thread_control()
+        seen = []
+        real_fit = inverse.fit_pipeline
+
+        def spy(*args, **kwargs):
+            seen.append(get_threads())
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(inverse, "fit_pipeline", spy)
+        invert = ["invert", "--approach", "fullspace", "--d", "0.5", "--out", str(tmp_path / "a.field")]
+        before = get_threads()
+        try:
+            set_threads(2)
+            caller = get_threads()
+            assert main(invert + ["--data", str(workdir / "train.ds")]) == 0
+            assert get_threads() == caller
+            assert main(invert + ["--data", str(tmp_path / "absent.ds")]) == 1
+            assert get_threads() == caller
+        finally:
+            set_threads(before)
+        assert seen == [1]
+        assert "absent.ds" in capsys.readouterr().err
 
 
 class TestEndToEnd:

@@ -24,7 +24,7 @@ from capinv.experiments import (
     run_timing,
     ssd,
 )
-from capinv import inverse
+from capinv import experiments, inverse, network
 from capinv.inverse import InversionError, RegressionModel, recover_field
 
 
@@ -294,6 +294,27 @@ class TestRunTiming:
     def test_rejects_bad_counts(self, unit_pipelines, unit_train):
         with pytest.raises(ValueError):
             run_timing(unit_pipelines, unit_train, repetitions=0)
+
+    @pytest.mark.skipif(network._openblas_thread_control() is None, reason="no OpenBLAS thread-count symbol found")
+    def test_stages_run_on_one_thread_and_restore_the_callers_count(self, unit_pipelines, unit_train, monkeypatch):
+        set_threads, get_threads = network._openblas_thread_control()
+        seen = []
+        real_predict = experiments.inverse_predict
+
+        def spy(*args, **kwargs):
+            seen.append(get_threads())
+            return real_predict(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "inverse_predict", spy)
+        before = get_threads()
+        try:
+            set_threads(2)
+            caller = get_threads()
+            run_timing(unit_pipelines, unit_train, repetitions=2)
+            assert get_threads() == caller
+        finally:
+            set_threads(before)
+        assert seen and set(seen) == {1}
 
 
 class TestExport:

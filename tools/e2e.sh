@@ -24,6 +24,15 @@ capinv invert --approach latent --model ae.model --data train.ds --save-regressi
 capinv invert --approach fullspace --regression full.reg --d 0.36 --out reg-full.csv
 capinv invert --approach latent --model ae.model --regression ae.reg --d 0.36 --out reg-ae.csv
 cmp fit-full.csv reg-full.csv && cmp fit-ae.csv reg-ae.csv
+# A fitted regression and its recovered field have the same bytes at any
+# BLAS thread count.
+for threads in 1 2; do
+  OPENBLAS_NUM_THREADS=$threads capinv invert --approach fullspace --data train.ds \
+    --save-regression "full-$threads.reg" --d 0.36 --out "full-$threads.csv"
+  OPENBLAS_NUM_THREADS=$threads capinv invert --approach latent --model ae.model --data train.ds \
+    --save-regression "ae-$threads.reg" --d 0.36 --out "ae-$threads.csv"
+done
+cmp full-1.reg full-2.reg && cmp full-1.csv full-2.csv && cmp ae-1.reg ae-2.reg && cmp ae-1.csv ae-2.csv
 status=0
 capinv invert --approach fullspace --regression ae.reg --d 0.36 --out wrong.csv || status=$?
 test "$status" = 1 || { echo "latent .reg for fullspace exited $status, not 1"; exit 1; }
@@ -49,7 +58,7 @@ capinv sweep --config own.cfg || status=$?
 test "$status" = 1 || { echo "a sweep over its own training set exited $status, not 1"; exit 1; }
 cmp train.ds own/sweep_cells.csv
 for f in train.ds test.ds even.ds ae.model ae.model.history.csv vae.model field.csv \
-    full.reg ae.reg fit-full.csv fit-ae.csv reg-full.csv reg-ae.csv \
+    full.reg ae.reg full-1.reg ae-1.reg fit-full.csv fit-ae.csv reg-full.csv reg-ae.csv \
     results/fig6_fields.csv results/fig8_ssd.csv results/fig9_ssd.csv \
     results/table2_timing.csv results/sweep_cells.csv; do
   test -s "$f" || { echo "missing or empty: $f"; exit 1; }
