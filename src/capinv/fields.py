@@ -53,7 +53,8 @@ class GeometryError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """SOR ran out of sweeps; carries the last sweep's max update."""
+    """SOR ran out of sweeps or met a non-finite update; carries the last
+    sweep's max update and the sweep it stopped at."""
 
     def __init__(self, message: str, residual: float, sweeps: int):
         super().__init__(message)
@@ -227,7 +228,7 @@ def solve_sor(
     satisfies the weaker guarantee "max update in the final sweep < tol".
 
     Raises ConvergenceError (carrying the last update) when max_sweeps is
-    exhausted first.
+    exhausted first, or at once when a sweep's update is not finite.
     """
     return FieldGrid(values=_solve([mask], [""], mask.n, omega, tol, max_sweeps)[0])
 
@@ -248,8 +249,9 @@ def _solve(masks, names: list, n: int, omega: float | None = None, tol: float | 
     _relax has freed its scratch, the block is written out once through
     _parity. Each mask is written into the block as masks yields it, so a
     caller can hand over a generator and drop each mask once it is
-    written. A sample that runs out of sweeps raises ConvergenceError, its
-    message led by names[s]; the lowest such sample is the one named.
+    written. A sample that runs out of sweeps, or whose update is not
+    finite, raises ConvergenceError, its message led by names[s]; the
+    lowest such sample is the one named.
     """
     if omega is None:
         omega = optimal_omega(n)
@@ -274,12 +276,12 @@ def _solve(masks, names: list, n: int, omega: float | None = None, tol: float | 
             tols.append(tol)
     failed = _relax(lattice.reshape(2, 2, -1), free.reshape(2, 2, -1), w, omega, tols, max_sweeps)
     if failed is not None:
-        s, residual = failed
-        raise ConvergenceError(
-            f"{names[s]}SOR did not reach tol={tols[s]:.3e} within {max_sweeps} sweeps (last update {residual:.3e})",
-            residual=residual,
-            sweeps=max_sweeps,
-        )
+        s, residual, sweeps = failed
+        if not math.isfinite(residual):
+            message = f"{names[s]}SOR update is not finite at sweep {sweeps} (last update {residual:.3e})"
+        else:
+            message = f"{names[s]}SOR did not reach tol={tols[s]:.3e} within {max_sweeps} sweeps (last update {residual:.3e})"
+        raise ConvergenceError(message, residual=residual, sweeps=sweeps)
     grids = np.empty((k, 2 * w, 2 * w))
     _parity(grids.reshape(-1, 2 * w))[...] = lattice
     return grids[:, :n, :n]
@@ -307,8 +309,10 @@ def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list,
     A sample that stops is frozen: its nodes join the held ones. All pass
     scratch is local, so it is freed before the caller makes its output.
 
-    Returns None once every sample has stopped, or (s, last update) of the
-    lowest sample s still moving when max_sweeps ran out.
+    Returns None once every sample has stopped, or (s, last update, sweep)
+    of the lowest sample s still moving when max_sweeps ran out, or of the
+    lowest sample whose update is not finite, at the sweep where it became
+    so: such a sample can never stop, so it is not swept on.
     """
     size = w * w
     # One update buffer, as long as a lattice and sliced by each pass. It
@@ -338,6 +342,8 @@ def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list,
         last = maxima.max(axis=0, initial=0.0).tolist()
         still = []
         for s in moving:
+            if not math.isfinite(last[s]):
+                return s, last[s], sweep
             history, tol = updates[s], tols[s]
             history.append(last[s])
             if last[s] == 0.0 or last[s] < 1e-3 * tol:
@@ -355,7 +361,7 @@ def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list,
                 free[:, :, s * size : (s + 1) * size] = False
             moving = still
             passes, maxima = _passes(flat, free, w, buffer, len(tols))
-    return moving[0], updates[moving[0]][-1]
+    return moving[0], updates[moving[0]][-1], max_sweeps
 
 
 def _passes(flat: np.ndarray, free: np.ndarray, w: int, buffer: np.ndarray, k: int) -> tuple:

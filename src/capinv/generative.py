@@ -216,7 +216,9 @@ def train_model(model: GenerativeModel, fields, config: GenerativeTrainConfig, r
     rng handed in, in a fixed order: batch indices first, then the noise
     for that step. The steps run with BLAS on one thread (see
     single_blas_thread), so the trained bits do not depend on the BLAS
-    thread count. Non-finite losses or gradients abort with TrainingError.
+    thread count. Non-finite losses or gradients abort with TrainingError,
+    and the overflow on the way there raises no numpy warning: the error
+    is the one report of it.
     """
     data = np.asarray(fields, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != model.input_dim:
@@ -232,7 +234,7 @@ def train_model(model: GenerativeModel, fields, config: GenerativeTrainConfig, r
     total = np.empty(iters)
     rec_hist = np.empty(iters)
     kld_hist = np.empty(iters)
-    with single_blas_thread():
+    with single_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for it in range(iters):
             batch = data[next(stream)]
             eps = rng.standard_normal((batch.shape[0], model.latent_dim)) if model.kind == "vae" else None

@@ -162,6 +162,8 @@ def _check_grads(params, grads) -> None:
     if len(params) != len(grads):
         raise ValueError(f"{len(grads)} gradients for {len(params)} parameters")
     for p, g in zip(params, grads):
+        if p.ndim == 0:
+            raise ValueError("a parameter must have at least one axis")
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
         if not np.all(np.isfinite(g)):
@@ -173,8 +175,38 @@ def _check_learning_rate(learning_rate: float) -> None:
         raise ValueError(f"learning rate must be finite and nonnegative, got {learning_rate}")
 
 
+# Elements in one piece of an optimizer step. A step runs its whole
+# sequence of operations on one piece before it moves to the next, so the
+# piece of each array it touches stays in L2 from the first operation to
+# the last (for Adam six arrays of 256 KiB: parameter, gradient, both
+# moments and both scratch buffers, in a 2 MiB L2), and its scratch is one
+# piece, not one parameter.
+_PIECE = 1 << 15
+
+
+def _pieces(*arrays):
+    """The same first-axis slice of each array, piece by piece: whole rows,
+    at most _PIECE elements, or one row where a row is wider. Slicing rows
+    keeps in-place writes landing in a parameter that is not contiguous."""
+    rows = max(1, _PIECE // max(1, math.prod(arrays[0].shape[1:])))
+    for i in range(0, len(arrays[0]), rows):
+        yield tuple(x[i : i + rows] for x in arrays)
+
+
+def _scratch(params) -> np.ndarray:
+    """One flat buffer as large as the largest piece of any parameter."""
+    return np.empty(max((piece.size for p in params for (piece,) in _pieces(p)), default=0))
+
+
 class Momentum:
-    """Classical momentum: v <- gamma*v - lr*g; p <- p + v."""
+    """Classical momentum: v <- gamma*v - lr*g; p <- p + v.
+
+    The step walks each parameter in pieces of at most _PIECE elements and
+    writes through one piece-sized scratch buffer, so a piece stays in cache
+    across its four operations and the optimizer holds no scratch the size
+    of a parameter. Every element goes through the same operations in the
+    same order, so the bits are those of the whole-array expressions.
+    """
 
     gamma = 0.9
 
@@ -188,16 +220,25 @@ class Momentum:
         _check_grads(params, grads)
         if self._velocity is None:
             self._velocity = [np.zeros_like(p) for p in params]
-            self._scratch = [np.empty_like(p) for p in params]
-        for p, g, v, a in zip(params, grads, self._velocity, self._scratch):
-            v *= self.gamma
-            np.multiply(self.learning_rate, g, out=a)
-            v -= a
-            p += v
+            self._scratch = _scratch(params)
+        for arrays in zip(params, grads, self._velocity):
+            for p, g, v in _pieces(*arrays):
+                a = self._scratch[: p.size].reshape(p.shape)
+                v *= self.gamma
+                np.multiply(self.learning_rate, g, out=a)
+                v -= a
+                p += v
 
 
 class Adam:
-    """Adam with bias correction."""
+    """Adam with bias correction.
+
+    Like Momentum, the step walks each parameter in pieces of at most
+    _PIECE elements, through two piece-sized scratch buffers: the arrays
+    of one piece stay in L2 across all of its operations, where a whole
+    encoder weight's would not, and the optimizer holds no scratch the
+    size of a parameter.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -216,27 +257,29 @@ class Adam:
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
-            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+            self._scratch = _scratch(params), _scratch(params)
         self._t += 1
         c1 = 1.0 - self.beta1 ** self._t
         c2 = 1.0 - self.beta2 ** self._t
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
         # in that order, so the bits are those of the expression.
-        for p, g, m, v, (a, b) in zip(params, grads, self._m, self._v, self._scratch):
-            m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=a)
-            m += a
-            v *= self.beta2
-            np.multiply(g, g, out=a)
-            np.multiply(1.0 - self.beta2, a, out=a)
-            v += a
-            np.divide(m, c1, out=a)
-            np.multiply(self.learning_rate, a, out=a)
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            p -= a
+        for arrays in zip(params, grads, self._m, self._v):
+            for p, g, m, v in _pieces(*arrays):
+                a, b = (s[: p.size].reshape(p.shape) for s in self._scratch)
+                m *= self.beta1
+                np.multiply(1.0 - self.beta1, g, out=a)
+                m += a
+                v *= self.beta2
+                np.multiply(g, g, out=a)
+                np.multiply(1.0 - self.beta2, a, out=a)
+                v += a
+                np.divide(m, c1, out=a)
+                np.multiply(self.learning_rate, a, out=a)
+                np.divide(v, c2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                p -= a
 
 
 # Learning rates paired with each optimizer when the caller does not pick one.

@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,18 @@ class TestTrain:
         assert f"error: --out {alias} names the same file as --data" in capsys.readouterr().err
         assert data.read_bytes() == (workdir / "train.ds").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["alias", "t.ds"]
+
+    @pytest.mark.parametrize("kind,optimizer", [("ae", "momentum"), ("vae", "adam")])
+    def test_an_overflowing_learning_rate_prints_only_its_error(self, workdir, tmp_path, capsys, kind, optimizer):
+        out = tmp_path / "x.model"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--kind", kind, "--optimizer", optimizer, "--lr", "1e308",
+                         "--data", str(workdir / "train.ds"), "--out", str(out),
+                         "--iters", "3", "--batch", "4", "--latent", "3", "--hidden", "8"]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "error: non-finite loss at iteration 1\n"
+        assert not out.exists()
 
     def test_bad_config_field_fails_before_training(self, workdir, tmp_path, capsys):
         out = tmp_path / "x.model"

@@ -239,6 +239,15 @@ class TestSolveSor:
         assert err.value.sweeps == 2
         assert err.value.residual > 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_update_stops_the_solve(self):
+        # The 5-point sums overflow at v0=1e308. Such an update can never
+        # fall below tol, so the solve stops at the sweep that makes it and
+        # says so, instead of sweeping out its budget and blaming convergence.
+        with pytest.raises(ConvergenceError, match=r"^sample d=0\.3: SOR update is not finite at sweep 1 ") as err:
+            generate_dataset([0.3, 0.5], v0=1e308, fine_n=41, coarse_n=21)
+        assert (err.value.sweeps, err.value.residual) == (1, math.inf)
+
     def test_rejects_bad_arguments(self):
         mask = build_boundary_mask(CapacitorConfig(d=0.5, fine_n=21, coarse_n=21))
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from capinv.network import (
     Mlp,
     Momentum,
     TrainingError,
+    _PIECE,
     backward,
     forward,
     make_optimizer,
@@ -313,7 +314,9 @@ class ExpressionAdam:
 
 
 class TestOptimizerBits:
-    SHAPES = ((1,), (7,), (1, 1), (5, 3), (3, 8), (2, 3, 4))
+    # Small shapes, the paper's encoder and decoder weights (three pieces
+    # each), a vector of three pieces, and a row wider than one piece.
+    SHAPES = ((1,), (7,), (1, 1), (5, 3), (3, 8), (2, 3, 4), (441, 200), (200, 441), (70001,), (1, 40000))
 
     @pytest.mark.parametrize(
         "optimizer,expression,rate",
@@ -322,7 +325,9 @@ class TestOptimizerBits:
     )
     def test_steps_give_the_bytes_of_the_expressions(self, optimizer, expression, rate):
         rng = np.random.default_rng(11)
-        params = [rng.normal(size=shape) for shape in self.SHAPES]
+        # The last parameter is a transposed view: the steps must write
+        # through it, though it is not contiguous.
+        params = [rng.normal(size=shape) for shape in self.SHAPES] + [rng.normal(size=(200, 441)).T]
         twins = [p.copy() for p in params]
         ours, theirs = optimizer(rate), expression(rate)
         for step in range(50):
@@ -342,6 +347,22 @@ class TestOptimizerBits:
         limit = max(p.nbytes for p in params) // 2
         for _ in range(3):
             assert traced_peak_rise(lambda: optimizer.step(params, grads)) < limit
+
+    @pytest.mark.parametrize("optimizer,k", [(Momentum(1e-5), 1), (Adam(1e-3), 2)], ids=["momentum", "adam"])
+    def test_the_first_step_allocates_its_state_and_one_piece_of_scratch(self, optimizer, k):
+        # Momentum keeps k=1 state array per parameter and one scratch
+        # buffer, Adam k=2 of each. A buffer is one piece, not a parameter;
+        # 16 KiB covers the views and lists of the step.
+        rng = np.random.default_rng(13)
+        params = paper_parameters(rng)
+        grads = [rng.normal(size=p.shape) for p in params]
+        limit = k * (sum(p.nbytes for p in params) + _PIECE * 8) + (16 << 10)
+        assert traced_peak_rise(lambda: optimizer.step(params, grads)) <= limit
+
+    def test_a_parameter_without_axes_is_refused(self):
+        for optimizer in (Momentum(0.1), Adam(0.1)):
+            with pytest.raises(ValueError, match="a parameter must have at least one axis"):
+                optimizer.step([np.zeros(())], [np.zeros(())])
 
     def test_a_gradient_that_would_broadcast_is_refused(self):
         # The steps write through out= arrays, which would take a broadcast
