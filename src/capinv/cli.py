@@ -123,6 +123,9 @@ def _cmd_generate(args) -> int:
     else:
         if args.count < 1:
             raise ValueError(f"--count must be positive, got {args.count}")
+        for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
         if args.d_min > args.d_max:
             raise ValueError(f"--d-min {args.d_min} exceeds --d-max {args.d_max}")
         with _sized("--count", args.count):

@@ -70,7 +70,8 @@ class CapacitorConfig:
     """Geometry and discretization of one capacitor instance.
 
     d is the plate separation, a/b the horizontal extent of both plates,
-    v0 the plate potential magnitude. fine_n is the solve resolution per
+    v0 the plate potential magnitude, large enough that the default SOR tol
+    1e-6*v0 is a normal float. fine_n is the solve resolution per
     side, coarse_n the resolution kept for the learning stages; the fine
     step count must be an integer multiple of the coarse one. The plate rows
     must snap to two distinct fine rows (else a resolution error), and off
@@ -91,6 +92,8 @@ class CapacitorConfig:
             raise GeometryError(f"plate separation must lie in [0, 1], got d={self.d}")
         if not (math.isfinite(self.v0) and self.v0 > 0.0):
             raise GeometryError(f"plate potential must be finite and positive, got v0={self.v0}")
+        if 1e-6 * self.v0 < np.finfo(float).tiny:
+            raise GeometryError(f"plate potential v0={self.v0} is too small: the default SOR tol 1e-6*v0 underflows")
         if self.fine_n < 3:
             raise GeometryError(f"fine_n must be at least 3, got {self.fine_n}")
         if self.coarse_n < 2:
@@ -142,7 +145,7 @@ class BoundaryMask:
             raise ValueError(f"value shape {self.value.shape} does not match mask shape {self.fixed.shape}")
         if not np.isfinite(self.value).all():
             raise ValueError("value must be finite at every node")
-        if np.any(self.value[~self.fixed] != 0.0):
+        if np.any((self.value != 0.0) > self.fixed):
             raise ValueError("value must be zero at non-fixed nodes")
 
     @property
@@ -243,37 +246,36 @@ def _solve(masks, names: list, n: int, omega: float | None = None, tol: float | 
     """Solve len(names) n x n masks as one stack; solve_sor's keywords apply to each.
 
     Returns the (k, n, n) solved grids, k = len(names), grid s that of the
-    s-th mask. The solve runs on one (2, 2, k*w, w) parity lattice block,
-    where w = (n + 1) // 2 and block[a, b, s*w + I, J] is node
-    (2I + a, 2J + b) of sample s; nodes past n - 1 are zero padding. Once
-    _relax has freed its scratch, the block is written out once through
-    _parity. Each mask is written into the block as masks yields it, so a
-    caller can hand over a generator and drop each mask once it is
-    written. A sample that runs out of sweeps, or whose update is not
-    finite, raises ConvergenceError, its message led by names[s]; the
-    lowest such sample is the one named.
+    s-th mask. Each mask is written, as masks yields it, into two
+    zero-padded (k, 2w, 2w) grid stacks, w = (n + 1) // 2: its Dirichlet
+    values, and free, true at its free nodes off the walls. The reference
+    to the last mask is then dropped, so a caller can hand over a
+    generator and keep no mask past its write. Each stack is copied
+    through _parity into a (2, 2, k*w, w) parity lattice block,
+    block[a, b, s*w + I, J] being node (2I + a, 2J + b) of sample s, which
+    takes the stack's name and so frees it before the next block is made.
+    Once _relax has freed its scratch, the value block is written out once
+    through _parity, the one map between grid and lattice. A sample that
+    runs out of sweeps, or whose update is not finite, raises
+    ConvergenceError, its message led by names[s]; the lowest such sample
+    is the one named.
     """
     if omega is None:
         omega = optimal_omega(n)
     _check_solver(omega, tol, max_sweeps)
     w, k = (n + 1) // 2, len(names)
-    lattice = np.zeros((2, 2, k * w, w))
-    free = np.zeros((2, 2, k * w, w), dtype=bool)
+    lattice = np.zeros((k, 2 * w, 2 * w))  # in grid layout until every mask is written
+    free = np.zeros((k, 2 * w, 2 * w), dtype=bool)
     tols = []
     for s, mask in enumerate(masks):
-        for a in (0, 1):
-            for b in (0, 1):
-                fixed = mask.fixed[a::2, b::2]
-                at = (a, b, slice(s * w, s * w + fixed.shape[0]), slice(0, fixed.shape[1]))
-                np.copyto(lattice[at], mask.value[a::2, b::2], where=fixed)
-                np.logical_not(fixed, out=free[at])
-        g = free[:, :, s * w : (s + 1) * w].transpose(2, 0, 3, 1)  # g[i//2, i%2, j//2, j%2] is node (i, j)
-        g[0, 0] = g[(n - 1) // 2, (n - 1) % 2] = g[:, :, 0, 0] = g[:, :, (n - 1) // 2, (n - 1) % 2] = False  # walls
-        if tol is None:
-            scale = float(np.max(np.abs(mask.value))) if mask.fixed.any() else 0.0
-            tols.append(1e-6 * (scale if scale > 0.0 else 1.0))
-        else:
-            tols.append(tol)
+        np.copyto(lattice[s, :n, :n], mask.value, where=mask.fixed)
+        np.logical_not(mask.fixed[1:-1, 1:-1], out=free[s, 1 : n - 1, 1 : n - 1])  # walls never move
+        tols.append(1e-6 * (max(mask.value.max(), -mask.value.min()) or 1.0) if tol is None else tol)
+    mask = None  # no mask outlives its write
+    # The bool block first: made after the value block, it left perfbench
+    # generate's peak RSS about 0.5 MiB higher (where the heap put the blocks).
+    free = _parity(free.reshape(-1, 2 * w)).copy()
+    lattice = _parity(lattice.reshape(-1, 2 * w)).copy()
     failed = _relax(lattice.reshape(2, 2, -1), free.reshape(2, 2, -1), w, omega, tols, max_sweeps)
     if failed is not None:
         s, residual, sweeps = failed
@@ -287,6 +289,7 @@ def _solve(masks, names: list, n: int, omega: float | None = None, tol: float | 
     return grids[:, :n, :n]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list, max_sweeps: int):
     """Run red-black SOR sweeps in place on k samples laid end to end in the (2, 2, k*w*w) block flat.
 
@@ -312,7 +315,9 @@ def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list,
     Returns None once every sample has stopped, or (s, last update, sweep)
     of the lowest sample s still moving when max_sweeps ran out, or of the
     lowest sample whose update is not finite, at the sweep where it became
-    so: such a sample can never stop, so it is not swept on.
+    so: such a sample can never stop, so it is not swept on. That return
+    is the one report of it: the sweeps run with numpy's overflow and
+    invalid-value warnings off.
     """
     size = w * w
     # One update buffer, as long as a lattice and sliced by each pass. It

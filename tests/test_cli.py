@@ -240,6 +240,26 @@ class TestGenerate:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags,error", [
+        (["--v0", "1e308"], "sample d=0.1: SOR update is not finite at sweep 1 (last update inf)"),
+        (["--v0", "1e-320"],
+         "sample d=0.1: plate potential v0=1e-320 is too small: the default SOR tol 1e-6*v0 underflows"),
+        (["--d-max", "inf"], "--d-max must be finite, got inf"),
+        (["--d-min", "nan"], "--d-min must be finite, got nan"),
+    ], ids=["v0-overflows", "v0-tol-underflows", "d-max-inf", "d-min-nan"])
+    def test_an_edge_value_prints_only_its_error(self, tmp_path, capfd, flags, error):
+        # Run as its own process, whose pool workers share its stderr: a
+        # warning a worker prints goes there, out of reach of pytest's
+        # warning capture.
+        root = pathlib.Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path)
+        out = tmp_path / "x.ds"
+        argv = ["generate", "--out", str(out), "--count", "2", "--fine-n", "21", *flags]
+        assert subprocess.run([sys.executable, "-m", "capinv.cli", *argv], env=env, timeout=120).returncode == 1
+        assert capfd.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_model_and_history_files(self, workdir):

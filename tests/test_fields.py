@@ -311,6 +311,13 @@ class TestSolveSor:
                 fixed = rng.random((n, n)) < 0.15
                 mask = BoundaryMask(fixed=fixed, value=np.where(fixed, rng.uniform(-1, 1, (n, n)), 0.0))
                 assert solve_sor(mask).values.tobytes() == reference_sor(mask).tobytes(), (n, seed)
+        # A free node may hold -0.0, which equals zero; a free wall node
+        # still starts, and so stays, at +0.0.
+        base = random_mask(9, 0)
+        fixed = base.fixed.copy()
+        fixed[0, 4] = False
+        mask = BoundaryMask(fixed=fixed, value=np.where(fixed, base.value, -0.0))
+        assert solve_sor(mask).values.tobytes() == reference_sor(mask).tobytes()
 
     def test_each_sample_of_a_stack_has_the_bytes_of_its_own_solve(self):
         # Odd and even n, omega 1 and the default, Dirichlet nodes inside and
@@ -373,6 +380,17 @@ class TestSolveSor:
             blocks = traced_peak_rise(lambda: solve_sor(mask)) / (4 * w * w * 8)
             assert blocks < 2.35, f"fine_n={fine_n}: {blocks:.3f} lattice blocks"
 
+    def test_a_stack_job_holds_no_mask_past_its_write(self):
+        # A job's peak is while a mask is built: the two grid stacks (1.13
+        # lattice blocks), the mask (1.13) and its checks' temporaries, about
+        # 2.5 at fine_n=401. A mask still held when the lattice block is made
+        # reads 3.35.
+        for fine_n, count in ((401, 1), (201, 3)):
+            configs = [CapacitorConfig(d=0.36 + 0.1 * s, fine_n=fine_n) for s in range(count)]
+            w = (fine_n + 1) // 2
+            blocks = traced_peak_rise(lambda: fields._solve_stack(configs, {})) / (count * 4 * w * w * 8)
+            assert blocks < 2.6, f"{fine_n}x{count}: {blocks:.3f} lattice blocks"
+
     def test_optimal_omega_value(self):
         assert optimal_omega(401) == pytest.approx(2.0 / (1.0 + np.sin(np.pi / 401)), rel=1e-15)
         with pytest.raises(ValueError):
@@ -423,6 +441,8 @@ class TestGeometry:
             dict(d=0.5, v0=0.0),
             dict(d=0.5, v0=math.inf),
             dict(d=0.5, v0=math.nan),
+            dict(d=0.5, v0=1e-303),  # the default tol 1e-6*v0 is subnormal
+            dict(d=0.5, v0=1e-320),  # and here zero
             dict(d=0.5, fine_n=2),
             dict(d=0.5, fine_n=400),  # 399 steps, not a multiple of 20
             dict(d=0.02, fine_n=21, coarse_n=21),  # both plate rows snap to row 10

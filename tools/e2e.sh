@@ -12,6 +12,13 @@ capinv generate --out train.ds --count 4 --fine-n 41
 capinv generate --out test.ds --test-set --fine-n 41
 # An even side has no padding row: the parity write-back.
 capinv generate --out even.ds --count 2 --fine-n 40 --coarse-n 40
+# A v0 whose default tol underflows, and a separation range that is not
+# finite, are refused before any solve.
+for flags in "--v0 1e-320" "--d-max inf"; do
+  status=0
+  capinv generate --out refused.ds --count 2 --fine-n 21 $flags || status=$?
+  test "$status" = 1 && test ! -e refused.ds || { echo "generate $flags exited $status, not 1"; exit 1; }
+done
 capinv train --kind ae --data train.ds --out ae.model --iters 20 --batch 2
 # The buffered Adam step.
 capinv train --kind vae --optimizer adam --data train.ds --out vae.model --iters 20 --batch 2
