@@ -71,7 +71,9 @@ class CapacitorConfig:
 
     d is the plate separation, a/b the horizontal extent of both plates,
     v0 the plate potential magnitude, large enough that the default SOR tol
-    1e-6*v0 is a normal float. fine_n is the solve resolution per
+    1e-6*v0 is a normal float and at most an eighth of the largest float,
+    so that SOR's four-neighbour sums stay finite (a quarter of it
+    overflowed). fine_n is the solve resolution per
     side, coarse_n the resolution kept for the learning stages; the fine
     step count must be an integer multiple of the coarse one. The plate rows
     must snap to two distinct fine rows (else a resolution error), and off
@@ -94,6 +96,8 @@ class CapacitorConfig:
             raise GeometryError(f"plate potential must be finite and positive, got v0={self.v0}")
         if 1e-6 * self.v0 < np.finfo(float).tiny:
             raise GeometryError(f"plate potential v0={self.v0} is too small: the default SOR tol 1e-6*v0 underflows")
+        if self.v0 > np.finfo(float).max / 8:
+            raise GeometryError(f"plate potential v0={self.v0} is too large: SOR's sums of neighbouring potentials overflow")
         if self.fine_n < 3:
             raise GeometryError(f"fine_n must be at least 3, got {self.fine_n}")
         if self.coarse_n < 2:

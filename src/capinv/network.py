@@ -170,11 +170,6 @@ def _check_grads(params, grads) -> None:
             raise TrainingError("non-finite gradient")
 
 
-def _check_learning_rate(learning_rate: float) -> None:
-    if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
-        raise ValueError(f"learning rate must be finite and nonnegative, got {learning_rate}")
-
-
 # Elements in one piece of an optimizer step. A step runs its whole
 # sequence of operations on one piece before it moves to the next, so the
 # piece of each array it touches stays in L2 from the first operation to
@@ -193,93 +188,94 @@ def _pieces(*arrays):
         yield tuple(x[i : i + rows] for x in arrays)
 
 
-def _scratch(params) -> np.ndarray:
-    """One flat buffer as large as the largest piece of any parameter."""
-    return np.empty(max((piece.size for p in params for (piece,) in _pieces(p)), default=0))
+class _Optimizer:
+    """What both optimizers share: the learning-rate check, the state and
+    scratch made at the first step, and the piece walk.
+
+    An optimizer keeps _arrays state arrays per parameter and as many flat
+    scratch buffers, each as large as the largest piece of any parameter.
+    Each optimizer defines its own step, which holds only its operations, so
+    a step is named after its own class wherever it is called or traced.
+    """
+
+    _arrays = 1
+
+    def __init__(self, learning_rate: float):
+        if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
+            raise ValueError(f"learning rate must be finite and nonnegative, got {learning_rate}")
+        self.learning_rate = learning_rate
+        self._state = self._buffers = None
+
+    def _walk(self, params, grads):
+        """Check the gradients at the call, before the step writes anything,
+        and return a generator of (p, g, *state, *scratch) for every piece of
+        every parameter, the scratch viewed in the piece's shape."""
+        _check_grads(params, grads)
+        if self._state is None:
+            self._state = [[np.zeros_like(p) for p in params] for _ in range(self._arrays)]
+            size = max((piece.size for p in params for (piece,) in _pieces(p)), default=0)
+            self._buffers = [np.empty(size) for _ in range(self._arrays)]
+        return ((*piece, *[b[: piece[0].size].reshape(piece[0].shape) for b in self._buffers])
+                for arrays in zip(params, grads, *self._state) for piece in _pieces(*arrays))
 
 
-class Momentum:
+class Momentum(_Optimizer):
     """Classical momentum: v <- gamma*v - lr*g; p <- p + v.
 
-    The step walks each parameter in pieces of at most _PIECE elements and
-    writes through one piece-sized scratch buffer, so a piece stays in cache
-    across its four operations and the optimizer holds no scratch the size
-    of a parameter. Every element goes through the same operations in the
-    same order, so the bits are those of the whole-array expressions.
+    The step runs its four operations on each piece of the shared walk,
+    through one piece-sized scratch buffer, so the optimizer holds no
+    scratch the size of a parameter. Every element goes through the same
+    operations in the same order, so the bits are those of the whole-array
+    expressions.
     """
 
     gamma = 0.9
 
-    def __init__(self, learning_rate: float):
-        _check_learning_rate(learning_rate)
-        self.learning_rate = learning_rate
-        self._velocity = None
-        self._scratch = None
-
     def step(self, params, grads) -> None:
-        _check_grads(params, grads)
-        if self._velocity is None:
-            self._velocity = [np.zeros_like(p) for p in params]
-            self._scratch = _scratch(params)
-        for arrays in zip(params, grads, self._velocity):
-            for p, g, v in _pieces(*arrays):
-                a = self._scratch[: p.size].reshape(p.shape)
-                v *= self.gamma
-                np.multiply(self.learning_rate, g, out=a)
-                v -= a
-                p += v
+        for p, g, v, a in self._walk(params, grads):
+            v *= self.gamma
+            np.multiply(self.learning_rate, g, out=a)
+            v -= a
+            p += v
 
 
-class Adam:
+class Adam(_Optimizer):
     """Adam with bias correction.
 
-    Like Momentum, the step walks each parameter in pieces of at most
-    _PIECE elements, through two piece-sized scratch buffers: the arrays
-    of one piece stay in L2 across all of its operations, where a whole
-    encoder weight's would not, and the optimizer holds no scratch the
-    size of a parameter.
+    The step runs its operations on each piece of the shared walk, through
+    two piece-sized scratch buffers: the six arrays of one piece stay in L2
+    across all of them, where a whole encoder weight's would not. The step
+    count advances only once the walk has accepted the gradients.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
-
-    def __init__(self, learning_rate: float):
-        _check_learning_rate(learning_rate)
-        self.learning_rate = learning_rate
-        self._m = None
-        self._v = None
-        self._scratch = None
-        self._t = 0
+    _arrays = 2
+    _t = 0
 
     def step(self, params, grads) -> None:
-        _check_grads(params, grads)
-        if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-            self._scratch = _scratch(params), _scratch(params)
+        pieces = self._walk(params, grads)
         self._t += 1
         c1 = 1.0 - self.beta1 ** self._t
         c2 = 1.0 - self.beta2 ** self._t
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
         # in that order, so the bits are those of the expression.
-        for arrays in zip(params, grads, self._m, self._v):
-            for p, g, m, v in _pieces(*arrays):
-                a, b = (s[: p.size].reshape(p.shape) for s in self._scratch)
-                m *= self.beta1
-                np.multiply(1.0 - self.beta1, g, out=a)
-                m += a
-                v *= self.beta2
-                np.multiply(g, g, out=a)
-                np.multiply(1.0 - self.beta2, a, out=a)
-                v += a
-                np.divide(m, c1, out=a)
-                np.multiply(self.learning_rate, a, out=a)
-                np.divide(v, c2, out=b)
-                np.sqrt(b, out=b)
-                b += self.eps
-                a /= b
-                p -= a
+        for p, g, m, v, a, b in pieces:
+            m *= self.beta1
+            np.multiply(1.0 - self.beta1, g, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(g, g, out=a)
+            np.multiply(1.0 - self.beta2, a, out=a)
+            v += a
+            np.divide(m, c1, out=a)
+            np.multiply(self.learning_rate, a, out=a)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 # Learning rates paired with each optimizer when the caller does not pick one.

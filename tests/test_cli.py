@@ -241,7 +241,8 @@ class TestGenerate:
         capsys.readouterr()
 
     @pytest.mark.parametrize("flags,error", [
-        (["--v0", "1e308"], "sample d=0.1: SOR update is not finite at sweep 1 (last update inf)"),
+        (["--v0", "1e308"],
+         "sample d=0.1: plate potential v0=1e+308 is too large: SOR's sums of neighbouring potentials overflow"),
         (["--v0", "1e-320"],
          "sample d=0.1: plate potential v0=1e-320 is too small: the default SOR tol 1e-6*v0 underflows"),
         (["--d-max", "inf"], "--d-max must be finite, got inf"),
@@ -760,6 +761,109 @@ class TestBlasThreads:
             set_threads(before)
         assert seen == [1]
         assert "absent.ds" in capsys.readouterr().err
+
+
+def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning that prints to stderr, which a forked pool worker
+    shares with its parent, so a worker's warning reaches capfd too."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def _field_blocks(path) -> list:
+    """The grids of a file of _field_block blocks: a meta line, then rows."""
+    blocks = []
+    for line in path.read_text(encoding="ascii").splitlines():
+        if line.startswith("approach="):
+            blocks.append([])
+        else:
+            blocks[-1].append([float(x) for x in line.split(",")])
+    return [np.array(rows) for rows in blocks]
+
+
+def _read_output(path):
+    """Read one output of a fuzzed command in full; return the fields it holds."""
+    if path.suffix == ".ds":
+        return [fields.load_dataset(path).fields]
+    if path.suffix == ".model":
+        generative.load_model(path)
+        return []
+    if path.name == "sweep_cells.csv":
+        experiments.read_sweep_cells(path)
+        return []
+    if path.suffix == ".field" or path.name == "fig6_fields.csv":
+        return _field_blocks(path)
+    rows = list(csv.reader(path.read_text(encoding="ascii").splitlines()))
+    assert len({len(row) for row in rows}) == 1, f"{path.name} has ragged rows"
+    return []
+
+
+class TestFlagFuzz:
+    """Every numeric flag x edge-value run of every command.
+
+    Each value goes in as --flag=value, so that a negative value in exponent
+    form reaches capinv's checks rather than argparse's flag reading; sweep
+    takes its values as config keys. Whatever the value, a run exits 0, 1 or
+    2; an exit 1 writes one error line and nothing else, not even a warning
+    from a pool worker; every output is complete or absent; and every field
+    of a run that exits 0 is finite. The whole product, 182 runs at small
+    sizes, takes a few seconds, so no case is left to a draw.
+    """
+
+    EDGES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320")
+    FLAGS = {
+        "generate": ("--d-min", "--d-max", "--count", "--a", "--b", "--v0", "--fine-n", "--coarse-n",
+                     "--omega", "--tol", "--max-sweeps"),
+        "train": ("--lr", "--iters", "--batch", "--latent", "--hidden", "--beta", "--seed"),
+        "invert": ("--d", "--noise", "--seed"),
+        "sweep": ("noise_levels", "test_d", "seeds", "keep_fields_d", "timing_reps"),
+    }
+
+    def _run(self, command, workdir, tmp_path, flag, value):
+        """argv and output paths of one case, flags after the defaults so the fuzzed one wins."""
+        if command == "generate":
+            out = tmp_path / "x.ds"
+            return ["generate", "--out", str(out), "--count", "2", "--fine-n", "21",
+                    f"{flag}={value}"], [out]
+        if command == "train":
+            out = tmp_path / "x.model"
+            return ["train", "--kind", "vae", "--data", str(workdir / "train.ds"), "--out", str(out),
+                    "--iters", "3", "--batch", "2", "--latent", "2", "--hidden", "4",
+                    f"{flag}={value}"], [out, tmp_path / "x.model.history.csv"]
+        if command == "invert":
+            out = tmp_path / "x.field"
+            return ["invert", "--approach", "latent", "--model", str(workdir / "vae.model"),
+                    "--data", str(workdir / "train.ds"), "--d", "0.5", "--noise", "0.1",
+                    f"{flag}={value}", "--out", str(out)], [out]
+        out_dir = tmp_path / "out"
+        config = {"train_data": workdir / "train.ds", "test_data": workdir / "test.ds", "out_dir": out_dir,
+                  "approaches": "fullspace", "noise_levels": "0.1", "test_d": "0.5", "seeds": "0",
+                  "keep_fields_d": "" if flag == "test_d" else "0.5", "timing_reps": "0", flag: value}
+        (tmp_path / "sweep.cfg").write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        return ["sweep", "--config", str(tmp_path / "sweep.cfg")], [out_dir / name for name in EXPORT_NAMES]
+
+    @pytest.mark.parametrize("command", ["generate", "train", "invert", "sweep"])
+    def test_an_edge_value_exits_cleanly(self, workdir, tmp_path, capfd, command):
+        for i, (flag, value) in enumerate((f, v) for f in self.FLAGS[command] for v in self.EDGES):
+            run = tmp_path / str(i)
+            run.mkdir()
+            argv, outputs = self._run(command, workdir, run, flag, value)
+            capfd.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("always")
+                warnings.showwarning = _show_on_stderr
+                code = main(argv)
+            err = capfd.readouterr().err
+            case = f"{command} {flag}={value}"
+            assert code in (0, 1, 2), f"{case} exited {code}"
+            if code == 1:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), f"{case} wrote {err!r}"
+            if code == 0:
+                assert err == "", f"{case} wrote {err!r}"
+            for path in outputs:
+                assert path.exists() or code != 0, f"{case} exited 0 without {path.name}"
+                held = _read_output(path) if path.exists() else []
+                if code == 0:
+                    assert all(np.all(np.isfinite(f)) for f in held), f"{case} wrote a non-finite field"
 
 
 class TestEndToEnd:

@@ -239,14 +239,22 @@ class TestSolveSor:
         assert err.value.sweeps == 2
         assert err.value.residual > 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_non_finite_update_stops_the_solve(self):
-        # The 5-point sums overflow at v0=1e308. Such an update can never
-        # fall below tol, so the solve stops at the sweep that makes it and
-        # says so, instead of sweeping out its budget and blaming convergence.
-        with pytest.raises(ConvergenceError, match=r"^sample d=0\.3: SOR update is not finite at sweep 1 ") as err:
-            generate_dataset([0.3, 0.5], v0=1e308, fine_n=41, coarse_n=21)
+        # The 5-point sums overflow at plate values of 1e308, which
+        # CapacitorConfig refuses but a hand-built mask may hold. Such an
+        # update can never fall below tol, so the solve stops at the sweep
+        # that makes it and says so, instead of sweeping out its budget and
+        # blaming convergence, and numpy warns of nothing on the way.
+        masks = []
+        for d in (0.3, 0.5):
+            base = build_boundary_mask(CapacitorConfig(d=d, fine_n=41, coarse_n=21))
+            masks.append(BoundaryMask(fixed=base.fixed, value=base.value * 1e308))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError, match=r"^sample d=0\.3: SOR update is not finite at sweep 1 ") as err:
+                fields._solve(masks, ["sample d=0.3: ", "sample d=0.5: "], 41)
         assert (err.value.sweeps, err.value.residual) == (1, math.inf)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_rejects_bad_arguments(self):
         mask = build_boundary_mask(CapacitorConfig(d=0.5, fine_n=21, coarse_n=21))
@@ -448,11 +456,19 @@ class TestGeometry:
             dict(d=0.02, fine_n=21, coarse_n=21),  # both plate rows snap to row 10
             dict(d=0.999),  # a plate row snaps onto the wall while d < 1
             dict(d=0.5, coarse_n=1),  # no check before coarse_n's raises a GeometryError
+            dict(d=0.5, v0=1e308),  # SOR's neighbour sums overflow
+            dict(d=0.5, v0=np.finfo(float).max / 4),  # overflowed at fine_n=101, sweep 25
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(GeometryError):
             CapacitorConfig(**kwargs)
+
+    def test_the_largest_accepted_v0_solves_finite(self):
+        v0 = np.finfo(float).max / 8
+        field = solve_sor(build_boundary_mask(CapacitorConfig(d=0.5, v0=v0, fine_n=21, coarse_n=21)))
+        assert np.all(np.isfinite(field.values))
+        assert np.max(np.abs(field.values)) == v0
 
     def test_mask_validation(self):
         fixed = np.zeros((5, 5), dtype=bool)

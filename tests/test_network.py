@@ -230,14 +230,31 @@ class TestOptimizers:
         Adam(0.0).step(p, [np.array([5.0, -5.0])])
         assert np.array_equal(p[0], before)
 
-    def test_non_finite_gradients_abort(self):
-        p = [np.array([1.0])]
+    @pytest.mark.parametrize("optimizer", [Momentum, Adam], ids=["momentum", "adam"])
+    def test_non_finite_gradients_abort(self, optimizer):
+        # The non-finite value sits in the last parameter, so a step that
+        # wrote before it checked would already have moved the others.
+        rng = np.random.default_rng(14)
+        params = [rng.normal(size=shape) for shape in ((5, 3), (3,), (3, 2))]
+        grads = [[rng.normal(size=p.shape) for p in params] for _ in range(2)]
+        twins = [p.copy() for p in params]
+        ours, clean = optimizer(0.1), optimizer(0.1)
+        ours.step(params, grads[0])
+        clean.step(twins, grads[0])
+        before = [p.tobytes() for p in params]
+        bad = [g.copy() for g in grads[1]]
+        bad[-1][-1, -1] = np.inf
         with pytest.raises(TrainingError):
-            Momentum(0.1).step(p, [np.array([np.inf])])
+            ours.step(params, bad)
+        assert [p.tobytes() for p in params] == before
+        # The refused step left no trace in the state or the step count.
+        ours.step(params, grads[1])
+        clean.step(twins, grads[1])
+        assert [p.tobytes() for p in params] == [p.tobytes() for p in twins]
         with pytest.raises(ValueError):
-            Momentum(0.1).step(p, [np.zeros(2)])
+            optimizer(0.1).step(params[:1], [np.zeros(2)])
         with pytest.raises(ValueError, match="^2 gradients for 1 parameters$"):
-            Momentum(0.1).step(p, [np.zeros(1), np.zeros(1)])
+            optimizer(0.1).step(params[:1], [np.zeros((5, 3)), np.zeros((5, 3))])
 
     def test_make_optimizer_pairs_default_rates(self):
         assert DEFAULT_LEARNING_RATES == {"momentum": 1e-5, "adam": 1e-3}

@@ -24,6 +24,9 @@ for w in generate train invert sweep; do
 done
 # Training backpropagates once per forward pass, through the public
 # network.backward; a step that called a private body instead would read 0
-# backward calls here. "correct" is not checked, as above.
+# backward calls here. Each optimizer's step is traced under its own class
+# name, so a step inherited from a shared base would read 0 here too.
+# "correct" is not checked, as above.
 python3 perfbench/run.py --workload train --seconds 1 --trace 1 | tail -n 1 > "$out/trace-train.json"
 python3 -c 'import json, sys; m = json.load(open(sys.argv[1]))["metrics"]; b, f = (m[f"network.{n}.calls"]["value"] for n in ("backward", "forward")); print("backward", b, "forward", f); sys.exit(not 0 < b == f)' "$out/trace-train.json"
+python3 -c 'import json, sys; m = json.load(open(sys.argv[1]))["metrics"]; s = {n: m[f"network.{n}.step.p50_us"]["value"] for n in ("Momentum", "Adam")}; print("step p50 us", s); sys.exit(not all(v > 0 for v in s.values()))' "$out/trace-train.json"
