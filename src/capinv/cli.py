@@ -140,6 +140,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     history_path = args.history if args.history is not None else f"{args.out}.history.csv"
     _distinct({"--data": args.data}, {"--out": args.out, "--history": history_path})
     config = generative.GenerativeTrainConfig(
@@ -160,6 +162,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if (args.regression is None) == (args.data is None):
         raise ValueError("pass exactly one of --regression or --data")
     if args.save_regression is not None and args.data is None:

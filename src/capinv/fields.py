@@ -260,9 +260,8 @@ def _solve(masks, names: list, n: int, omega: float | None = None, tol: float | 
     takes the stack's name and so frees it before the next block is made.
     Once _relax has freed its scratch, the value block is written out once
     through _parity, the one map between grid and lattice. A sample that
-    runs out of sweeps, or whose update is not finite, raises
-    ConvergenceError, its message led by names[s]; the lowest such sample
-    is the one named.
+    runs out of sweeps, or whose update is not finite, fails the solve with
+    _relax's ConvergenceError, its message led by names[s].
     """
     if omega is None:
         omega = optimal_omega(n)
@@ -280,21 +279,14 @@ def _solve(masks, names: list, n: int, omega: float | None = None, tol: float | 
     # generate's peak RSS about 0.5 MiB higher (where the heap put the blocks).
     free = _parity(free.reshape(-1, 2 * w)).copy()
     lattice = _parity(lattice.reshape(-1, 2 * w)).copy()
-    failed = _relax(lattice.reshape(2, 2, -1), free.reshape(2, 2, -1), w, omega, tols, max_sweeps)
-    if failed is not None:
-        s, residual, sweeps = failed
-        if not math.isfinite(residual):
-            message = f"{names[s]}SOR update is not finite at sweep {sweeps} (last update {residual:.3e})"
-        else:
-            message = f"{names[s]}SOR did not reach tol={tols[s]:.3e} within {max_sweeps} sweeps (last update {residual:.3e})"
-        raise ConvergenceError(message, residual=residual, sweeps=sweeps)
+    _relax(lattice.reshape(2, 2, -1), free.reshape(2, 2, -1), w, omega, tols, max_sweeps, names)
     grids = np.empty((k, 2 * w, 2 * w))
     _parity(grids.reshape(-1, 2 * w))[...] = lattice
     return grids[:, :n, :n]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list, max_sweeps: int):
+def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list, max_sweeps: int, names: list):
     """Run red-black SOR sweeps in place on k samples laid end to end in the (2, 2, k*w*w) block flat.
 
     Sample s is nodes s*w*w to (s+1)*w*w of each lattice, and only the nodes
@@ -316,11 +308,12 @@ def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list,
     A sample that stops is frozen: its nodes join the held ones. All pass
     scratch is local, so it is freed before the caller makes its output.
 
-    Returns None once every sample has stopped, or (s, last update, sweep)
-    of the lowest sample s still moving when max_sweeps ran out, or of the
-    lowest sample whose update is not finite, at the sweep where it became
-    so: such a sample can never stop, so it is not swept on. That return
-    is the one report of it: the sweeps run with numpy's overflow and
+    Returns once every sample has stopped. Raises ConvergenceError, its
+    message led by names[s] and carrying the last update and the sweep,
+    for the lowest sample s whose update is not finite, at the sweep where
+    it became so (such a sample can never stop, so it is not swept on), or
+    for the lowest sample s still moving when max_sweeps ran out. That
+    error is the one report of it: the sweeps run with numpy's overflow and
     invalid-value warnings off.
     """
     size = w * w
@@ -352,7 +345,8 @@ def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list,
         still = []
         for s in moving:
             if not math.isfinite(last[s]):
-                return s, last[s], sweep
+                message = f"{names[s]}SOR update is not finite at sweep {sweep} (last update {last[s]:.3e})"
+                raise ConvergenceError(message, residual=last[s], sweeps=sweep)
             history, tol = updates[s], tols[s]
             history.append(last[s])
             if last[s] == 0.0 or last[s] < 1e-3 * tol:
@@ -364,13 +358,15 @@ def _relax(flat: np.ndarray, free: np.ndarray, w: int, omega: float, tols: list,
                     continue
             still.append(s)
         if not still:
-            return None
+            return
         if len(still) < len(moving):
             for s in set(moving).difference(still):
                 free[:, :, s * size : (s + 1) * size] = False
             moving = still
             passes, maxima = _passes(flat, free, w, buffer, len(tols))
-    return moving[0], updates[moving[0]][-1], max_sweeps
+    s = moving[0]
+    message = f"{names[s]}SOR did not reach tol={tols[s]:.3e} within {max_sweeps} sweeps (last update {last[s]:.3e})"
+    raise ConvergenceError(message, residual=last[s], sweeps=max_sweeps)
 
 
 def _passes(flat: np.ndarray, free: np.ndarray, w: int, buffer: np.ndarray, k: int) -> tuple:

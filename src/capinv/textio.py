@@ -115,27 +115,26 @@ def _floats(line: str, width: int, what: str) -> list:
 
 
 def _reader(fh, noun: str) -> SimpleNamespace:
-    """Parsers over the non-blank lines of an open file, one line ahead.
+    """Parsers over the non-blank lines of an open file, read forward once.
 
     take(what) returns the next line; header(tag, types, sep) parses a
     header into its items, converting those named in types; rows(count,
     width, what) parses the next count lines into a (count, width) array
-    and vector(tag) a `tag count` line and its row; at_end() tells whether
-    the file is used up. rows and vector hold the lines of one block, not
-    the file, and hand them to np.loadtxt in one call. When that call fails
-    or its result is out of shape, the same lines are parsed one by one with
-    float(), so a bad block fails on its first bad row, with that row's
-    message. They are closures, not methods, so that tracers wrapping the
-    public methods of capinv classes count parsing in the caller's span.
+    and vector(tag) a `tag count` line and its row; rest() returns the next
+    line, or None where the file is used up. rows and vector hold the lines
+    of one block, not the file, and hand them to np.loadtxt in one call.
+    When that call fails or its result is out of shape, the same lines are
+    parsed one by one with float(), so a bad block fails on its first bad
+    row, with that row's message. They are closures, not methods, so that
+    tracers wrapping the public methods of capinv classes count parsing in
+    the caller's span.
     """
     stream = (line.rstrip("\n") for line in fh if not line.isspace())
-    ahead = next(stream, None)
 
     def take(what):
-        nonlocal ahead
-        if ahead is None:
+        line = next(stream, None)
+        if line is None:
             raise ValueError(f"{noun} ends before the {what}")
-        line, ahead = ahead, next(stream, None)
         return line
 
     def header(tag, types, sep=" "):
@@ -155,9 +154,8 @@ def _reader(fh, noun: str) -> SimpleNamespace:
 
     def block(count, width, name):
         """count rows of width floats; name(i) is row i's name in errors."""
-        lines = []
-        while len(lines) < count and ahead is not None:
-            lines.append(take(""))
+        # zip with range, not islice, which refuses a count past sys.maxsize.
+        lines = [line for _, line in zip(range(count), stream)]
         if lines and len(lines) == count and not any(sep in line for line in lines for sep in _SEPARATORS):
             try:
                 out = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
@@ -184,8 +182,7 @@ def _reader(fh, noun: str) -> SimpleNamespace:
             raise ValueError(f"expected '{tag} <count>', got {line[:80]!r}")
         return block(1, int(count), lambda i: f"{tag} row")[0]
 
-    return SimpleNamespace(take=take, header=header, rows=rows, vector=vector,
-                           at_end=lambda: ahead is None)
+    return SimpleNamespace(take=take, header=header, rows=rows, vector=vector, rest=lambda: next(stream, None))
 
 
 @contextmanager
@@ -196,8 +193,9 @@ def _reading(path, noun: str):
     with _named(path), open(path, "r", encoding="ascii") as fh:
         lines = _reader(fh, noun)
         yield lines
-        if not lines.at_end():
-            raise ValueError(f"unexpected data after the {noun}: {lines.take('')[:80]!r}")
+        extra = lines.rest()
+        if extra is not None:
+            raise ValueError(f"unexpected data after the {noun}: {extra[:80]!r}")
 
 
 @contextmanager

@@ -340,6 +340,16 @@ class TestTrain:
         assert capsys.readouterr().err == "error: non-finite loss at iteration 1\n"
         assert not out.exists()
 
+    def test_a_negative_seed_is_refused_before_any_file_is_read(self, workdir, tmp_path, capsys, monkeypatch):
+        def no_load(path):
+            raise AssertionError(f"loaded {path}")
+
+        monkeypatch.setattr(fields, "load_dataset", no_load)
+        assert main(["train", "--kind", "ae", "--data", str(workdir / "train.ds"),
+                     "--out", str(tmp_path / "x.model"), "--seed=-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_config_field_fails_before_training(self, workdir, tmp_path, capsys):
         out = tmp_path / "x.model"
         assert main(["train", "--kind", "ae", "--data", str(workdir / "train.ds"), "--out", str(out),
@@ -439,6 +449,22 @@ class TestInvert:
                      str(reg), "--d", "0.5", "--out", str(tmp_path / "b.field")]) == 1
         assert f"error: {reg}: regression artifact was fitted for 'fullspace', not 'latent'" in capsys.readouterr().err
         assert not (tmp_path / "b.field").exists()
+
+    @pytest.mark.parametrize("noise", ["0", "0.1"])
+    def test_a_negative_seed_is_refused_before_any_file_is_read(self, workdir, tmp_path, capsys, monkeypatch,
+                                                                noise):
+        # Without noise the seed draws nothing, so only this check keeps
+        # seed=-1 out of the field's meta line.
+        def no_load(path):
+            raise AssertionError(f"loaded {path}")
+
+        monkeypatch.setattr(fields, "load_dataset", no_load)
+        monkeypatch.setattr(generative, "load_model", no_load)
+        assert main(["invert", "--approach", "latent", "--model", str(workdir / "vae.model"),
+                     "--data", str(workdir / "train.ds"), "--d", "0.5", "--noise", noise, "--seed=-1",
+                     "--out", str(tmp_path / "x.field")]) == 1
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_latent_requires_model(self, workdir, tmp_path, capsys):
         code = main(["invert", "--approach", "latent", "--data", str(workdir / "train.ds"),

@@ -632,6 +632,8 @@ class TestDataset:
         for text, message in [
             ("grid=2,count=3,v0=1.0\n0.5,0,abc,0,0\n", "record 0: could not convert string to float: 'abc'"),
             ("grid=2,count=3,v0=1.0\n0.5,0,0,0,0\n", "dataset ends before the record 1"),
+            # a count past sys.maxsize, which islice would refuse with a message of its own
+            (f"grid=2,count={2**63},v0=1.0\n0.5,0,0,0,0\n", "dataset ends before the record 1"),
             ("grid=2,count=2,v0=1.0\n0.5,0,0,0\n0.6,0,0,0\n", "record 0 has 4 values, expected 5"),
             ("grid=2,count=2,v0=1.0\n0.5,0,0,0,0\n0.6,0,0,0\n", "record 1 has 4 values, expected 5"),
         ]:

@@ -7,6 +7,7 @@ zero-penalty VAE must follow the trajectory of the plain autoencoder its
 mean head defines.
 """
 
+import hashlib
 import math
 import multiprocessing
 import os
@@ -526,3 +527,66 @@ class TestBlasThreads:
         finally:
             set_threads(before)
         assert seen and set(seen) == {1}
+
+
+# Numpy's dispatch targets from X86_V4 up, the AVX512 code path. numpy 1.x
+# names none of them.
+_AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+# Trains a small Adam ae and vae with the dispatch targets named in
+# NPY_DISABLE_CPU_FEATURES turned off, after checking that they are, and
+# prints the sha256 of each model's parameter bytes.
+_CODE_PATH_SCRIPT = """
+import hashlib, os, sys
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+still_on = [t for t in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if __cpu_features__.get(t)]
+if still_on:
+    sys.exit(f"dispatch targets still enabled: {still_on}")
+from capinv import generative
+config = generative.GenerativeTrainConfig(optimizer="adam", max_iterations=40, minibatch_size=6,
+                                          latent_dim=4, hidden_dim=16)
+data = np.tanh(np.random.default_rng(0).normal(size=(24, 49)))
+for kind in ("ae", "vae"):
+    model, _ = generative.train_generative(kind, data, config, seed=2)
+    print(hashlib.sha256(b"".join(p.tobytes() for p in generative._parameters(model))).hexdigest())
+"""
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+class TestCodePath:
+    @pytest.mark.skipif(not _cpu_features().get("X86_V4"), reason="numpy's X86_V4 dispatch target is not enabled")
+    def test_np_exp_is_the_one_call_of_training_that_follows_the_avx512_path(self, monkeypatch):
+        # Model bits depend on the CPU code path. On numpy's side that is
+        # np.exp in _step's vae branch, whose AVX512 loop rounds differently
+        # from libm's exp, which the other paths call. So the AVX2 path's
+        # bits are this process's with np.exp done per value by math.exp.
+        # A second call whose bits follow the AVX512 path fails this test.
+        targets = [t for t in _AVX512_TARGETS if _cpu_features().get(t)]
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        there = subprocess.run(
+            [sys.executable, "-c", _CODE_PATH_SCRIPT], env=env, capture_output=True, text=True, check=True, timeout=120
+        ).stdout.split()
+        config = GenerativeTrainConfig(optimizer="adam", max_iterations=40, minibatch_size=6, latent_dim=4,
+                                       hidden_dim=16)
+        data = np.tanh(np.random.default_rng(0).normal(size=(24, 49)))
+
+        def digest(kind):
+            model, _ = train_generative(kind, data, config, seed=2)
+            return hashlib.sha256(b"".join(p.tobytes() for p in generative._parameters(model))).hexdigest()
+
+        assert there[0] == digest("ae")
+        monkeypatch.setattr(np, "exp", lambda x: np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape))
+        assert there[1] == digest("vae")

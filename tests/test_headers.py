@@ -10,7 +10,6 @@ with a traceback. Each `key = value` of a small sweep config is set to the
 same values, and `capinv sweep` on it exits 0, or 1 with one error line.
 """
 
-import dataclasses
 import re
 
 import numpy as np
@@ -18,6 +17,7 @@ import pytest
 
 from capinv import fields, generative, inverse
 from capinv.cli import main
+from test_textio import _state
 
 VALUES = ("-1", "0", str(10**16), "1e3", "nan", "inf", "", "+2", " 2", "٢")
 
@@ -37,17 +37,6 @@ NAMED = {
 
 LOAD = {"dataset": fields.load_dataset, "model": generative.load_model, "regression": inverse.load_pipeline}
 SAVE = {"dataset": fields.save_dataset, "model": generative.save_model, "regression": inverse.save_pipeline}
-
-
-def _state(value):
-    """Everything a loaded artifact holds, with arrays and floats as bits."""
-    if isinstance(value, np.ndarray):
-        return value.shape, value.tobytes()
-    if dataclasses.is_dataclass(value):
-        return tuple(_state(getattr(value, f.name)) for f in dataclasses.fields(value))
-    if isinstance(value, (list, tuple)):
-        return tuple(map(_state, value))
-    return repr(value)
 
 
 def _sites(text):

@@ -22,6 +22,14 @@ done
 capinv train --kind ae --data train.ds --out ae.model --iters 20 --batch 2
 # The buffered Adam step.
 capinv train --kind vae --optimizer adam --data train.ds --out vae.model --iters 20 --batch 2
+# A negative seed is refused before any file is read, with or without noise.
+for command in "train --kind ae --data train.ds" "invert --approach fullspace --data train.ds --d 0.36" \
+    "invert --approach fullspace --data train.ds --d 0.36 --noise 0.1"; do
+  status=0
+  capinv $command --seed=-1 --out refused.out || status=$?
+  test "$status" = 1 && test ! -e refused.out && test ! -e refused.out.history.csv \
+    || { echo "$command --seed=-1 exited $status, not 1"; exit 1; }
+done
 capinv invert --approach latent --model ae.model --data train.ds --d 0.36 --out field.csv
 # Saved regressions read back through --regression to the same field,
 # and a latent one asked for the fullspace approach exits 1.
